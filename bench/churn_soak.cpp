@@ -8,10 +8,10 @@
 //
 // Phase B (footprint): the same storm driven directly on a Testbed with
 // observability detached and UDP video load on every client.  After a
-// warmup quarter of the horizon, the engine's pooled-callback counters
-// must stay zero across the whole run (every churn capture fits the SBO
-// buffer, so the scheduling path never touches the heap) and the live
-// heap-block count must stay flat (no per-cycle leak, bounded memory).
+// warmup quarter of the horizon the live heap-block count must stay flat
+// (no per-cycle leak, bounded memory).  Every event capture is stored
+// inline by construction (EventCallback rejects oversized captures at
+// compile time), so the scheduling path itself never touches the heap.
 //
 // --smoke shrinks the horizon for the bench-smoke ctest label; full runs
 // scale with --seconds/--clients to reach 1e8+ events of sustained churn.
@@ -232,9 +232,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ps.churn_dropped_bytes),
       static_cast<long long>(growth));
   expect_ok(ps.joins > 0 && ps.leaves > 0, "storm produced joins and leaves");
-  expect_ok(qs.alloc.callbacks_pooled == 0,
-        "no event capture outgrew the SBO buffer");
-  expect_ok(qs.alloc.pool_allocs == 0, "callback pool never touched the heap");
   // Flat footprint: steady-state churn must not accrete memory.  A small
   // slack absorbs late container high-water marks (slab growth to the
   // horizon's peak event depth, deque block rounding).

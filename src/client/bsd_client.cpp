@@ -10,7 +10,8 @@ BsdClient::BsdClient(sim::Simulator& sim, net::WirelessMedium& medium,
     : sim_{sim},
       node_{sim, ip, std::move(name)},
       params_{params},
-      acc_{params.power, sim.now(), energy::WnicMode::Idle},
+      ledger_{params.power},
+      acc_{ledger_, sim.now(), energy::WnicMode::Idle},
       start_time_{sim.now()} {
   const auto station_id = medium.attach_station(*this, ip);
   node_.set_transmitter([this, &medium, station_id](net::Packet pkt) {

@@ -72,6 +72,7 @@ class BsdClient : public net::WirelessStation {
   sim::Simulator& sim_;
   net::Node node_;
   BsdParams params_;
+  energy::EnergyLedger ledger_;  // this client's single row
   energy::EnergyAccountant acc_;
   bool awake_ = true;
   bool draining_ = false;

@@ -9,16 +9,13 @@ namespace pp::client {
 
 EnergyAwareClient::EnergyAwareClient(sim::Simulator& sim,
                                      net::WirelessMedium& medium,
+                                     energy::EnergyLedger& ledger,
                                      net::Ipv4Addr ip, std::string name,
                                      ClientParams params)
     : sim_{sim},
       node_{sim, ip, std::move(name)},
       params_{params},
-      acc_{params.ledger != nullptr
-               ? energy::EnergyAccountant{*params.ledger, sim.now(),
-                                          energy::WnicMode::Idle}
-               : energy::EnergyAccountant{params.power, sim.now(),
-                                          energy::WnicMode::Idle}},
+      acc_{ledger, sim.now(), energy::WnicMode::Idle},
       daemon_{sim, ip, params.daemon,
               [this](bool awake) {
                 acc_.set_mode(sim_.now(), awake ? energy::WnicMode::Idle

@@ -23,11 +23,8 @@ namespace pp::client {
 
 struct ClientParams {
   DaemonConfig daemon{};
+  // The WNIC power model; the Testbed builds its fleet ledger from it.
   energy::WnicPowerModel power{};
-  // When set, the client's energy row lives in this shared fleet ledger
-  // (flat SoA — see energy::EnergyLedger) and `power` is ignored; the
-  // ledger's model applies.  Null keeps a private single-row ledger.
-  energy::EnergyLedger* ledger = nullptr;
   bool naive = false;  // never sleep (the comparison baseline)
   // Dynamic membership (client churn).  When enabled the client carries an
   // AssociationAgent; set_away() drives leave/rejoin handshakes with the
@@ -51,9 +48,12 @@ struct ClientTraffic {
 
 class EnergyAwareClient : public net::WirelessStation {
  public:
+  // The client's energy row lives in `ledger` (flat SoA — see
+  // energy::EnergyLedger), whose power model applies; the ledger must
+  // outlive the client.
   EnergyAwareClient(sim::Simulator& sim, net::WirelessMedium& medium,
-                    net::Ipv4Addr ip, std::string name,
-                    ClientParams params = {});
+                    energy::EnergyLedger& ledger, net::Ipv4Addr ip,
+                    std::string name, ClientParams params = {});
 
   EnergyAwareClient(const EnergyAwareClient&) = delete;
   EnergyAwareClient& operator=(const EnergyAwareClient&) = delete;

@@ -66,6 +66,7 @@ class PsmClient : public net::WirelessStation {
   sim::Simulator& sim_;
   net::Node node_;
   PsmParams params_;
+  energy::EnergyLedger ledger_;  // this client's single row
   energy::EnergyAccountant acc_;
   bool awake_ = true;
   bool draining_ = false;  // TIM indicated us; awaiting the final frame

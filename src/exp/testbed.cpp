@@ -9,7 +9,8 @@ namespace pp::exp {
 net::Ipv4Addr testbed_client_ip(int i) {
   // 16-bit client index spread over the third and fourth octets: clients
   // 0..254 keep their historical 172.16.0.<i+1> addresses; larger fleets
-  // spill into 172.16.1.x and beyond (65534 clients max per testbed).
+  // spill into 172.16.1.x and beyond (kMaxTestbedClients per testbed; the
+  // next index would wrap onto 172.16.0.0 and then alias client 0).
   const std::uint32_t n = static_cast<std::uint32_t>(i) + 1;
   return net::Ipv4Addr::octets(172, 16, static_cast<std::uint8_t>(n >> 8),
                                static_cast<std::uint8_t>(n & 0xff));
@@ -25,6 +26,10 @@ Testbed::Testbed(TestbedParams params,
       medium_{sim_, params.wireless},
       ap_{sim_, medium_, params.ap},
       monitor_{medium_} {
+  if (params_.num_clients > kMaxTestbedClients)
+    throw std::invalid_argument(
+        "Testbed: num_clients > 65534 (kMaxTestbedClients); client "
+        "addresses would alias");
   // Bridge port: all LAN traffic to unknown (wireless) addresses lands here.
   bridge_port_ = lan_.attach_default(proxy_->wired_sink());
   proxy_->set_wired_tx([this](net::Packet pkt) {
@@ -121,12 +126,11 @@ Testbed::Testbed(TestbedParams params,
   // per client) instead of per-object accountants.
   energy_ledger_ = energy::EnergyLedger{params_.client.power};
   energy_ledger_.reserve(params_.num_clients);
-  params_.client.ledger = &energy_ledger_;
   clients_.reserve(params_.num_clients);
   for (int i = 0; i < params_.num_clients; ++i) {
     clients_.push_back(std::make_unique<client::EnergyAwareClient>(
-        sim_, medium_, testbed_client_ip(i), "client" + std::to_string(i),
-        params_.client));
+        sim_, medium_, energy_ledger_, testbed_client_ip(i),
+        "client" + std::to_string(i), params_.client));
   }
 
 #if PP_OBS_ENABLED
@@ -198,10 +202,6 @@ void Testbed::publish_sim_metrics() {
   m->counter("sim.events.stale_pruned")->inc(qs.stale_pruned);
   m->counter("sim.events.slab_slots")
       ->inc(static_cast<std::uint64_t>(sim_.queue_slab_slots()));
-  m->counter("sim.alloc.callbacks_inline")->inc(qs.alloc.callbacks_inline);
-  m->counter("sim.alloc.callbacks_pooled")->inc(qs.alloc.callbacks_pooled);
-  m->counter("sim.alloc.pool_reuses")->inc(qs.alloc.pool_reuses);
-  m->counter("sim.alloc.pool_allocs")->inc(qs.alloc.pool_allocs);
 #endif
 }
 

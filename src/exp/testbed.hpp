@@ -32,8 +32,14 @@
 
 namespace pp::exp {
 
+// Client addresses are a 16-bit index (see testbed_client_ip), so a testbed
+// holds at most this many clients.
+inline constexpr int kMaxTestbedClients = 65534;
+
 struct TestbedParams {
   std::uint64_t seed = 1;
+  // At most kMaxTestbedClients; the Testbed throws std::invalid_argument
+  // beyond that.
   int num_clients = 10;
   net::WiredParams lan{};          // 100 Mbps Fast Ethernet
   net::WiredParams proxy_ap{};     // proxy <-> AP link
@@ -107,7 +113,7 @@ class Testbed {
   // aborts (or throws under a test handler) on the first violation.
   void finalize_audit(sim::Time horizon);
 
-  // Snapshot the event engine's sim.events.* / sim.alloc.* counters into
+  // Snapshot the event engine's sim.events.* counters into
   // the metrics registry (no-op when not observing; idempotent).  Called
   // by finalize_audit; exposed for drivers that skip the audit.
   void publish_sim_metrics();

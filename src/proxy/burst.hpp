@@ -3,20 +3,20 @@
 // One session per scheduled slot per interval.  open() runs at the slot's
 // rp_offset: it snapshots the client's chunk queue up to the slot budget
 // (moving chunk views, never copying datagrams), plans the TCP allowance,
-// arms the end-of-burst marker, and emits the whole raw chain as ONE
-// batched medium reservation (a single airtime computation for the burst
-// plus the marked terminator) instead of N per-packet sends.  close() runs
-// at the slot's end and shuts the TCP send gates.
+// arms the end-of-burst marker, and hands the whole raw chain to the
+// proxy's burst transmitter as ONE batched medium reservation (a single
+// airtime computation for the burst plus the marked terminator).  That
+// transmitter is mandatory, so there is no per-packet emission path.
+// close() runs at the slot's end and shuts the TCP send gates.
 //
 // The session is a transient view object (proxy reference + schedule
 // entry, copied into the two slot timers) — cheap enough to construct in
 // an event callback's inline storage, and self-contained so a schedule
 // renegotiation that cancels the timers leaves nothing dangling.
 //
-// This replaces the old open_burst / close_burst / send_empty_burst_marker
-// member trio; the mid-interval-shrink (departed client) skip, the
-// graceful-leave drain accounting and the empty-burst marker all live
-// behind this one interface now.
+// The mid-interval-shrink (departed client) skip, the graceful-leave
+// drain accounting and the empty-burst marker all live behind this one
+// interface.
 #pragma once
 
 #include "proxy/schedule.hpp"

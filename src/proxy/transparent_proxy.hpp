@@ -145,9 +145,9 @@ class TransparentProxy {
     wireless_tx_ = std::move(tx);
   }
   // Batched emission: a burst's raw-datagram chain leaves as one ChunkQueue
-  // (one link/medium reservation per slot).  Optional — when unset, bursts
-  // unbundle onto wireless_tx_.  Control traffic (schedule broadcasts,
-  // spliced TCP segments, markers, acks) always uses wireless_tx_.
+  // (one link/medium reservation per slot).  Control traffic (schedule
+  // broadcasts, spliced TCP segments, markers, acks) uses wireless_tx_.
+  // All three transmitters must be set before start().
   void set_wireless_burst_tx(std::function<void(net::ChunkQueue)> tx) {
     wireless_burst_tx_ = std::move(tx);
   }
@@ -158,7 +158,8 @@ class TransparentProxy {
   // Provide an already-fitted estimator instead.
   void set_estimator(BandwidthEstimator est) { estimator_ = est; }
 
-  // Begin the schedule loop with the first SRP at `first_srp`.
+  // Begin the schedule loop with the first SRP at `first_srp`.  Throws
+  // std::logic_error unless all three transmitters are wired.
   void start(sim::Time first_srp);
   void stop();
 

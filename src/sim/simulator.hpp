@@ -26,7 +26,8 @@ class Simulator {
 
   // Schedule fn at an absolute time (must be >= now()).  The callable is
   // forwarded straight into the event slab — no std::function, no heap
-  // allocation for captures within EventCallback::kInlineCapacity.
+  // allocation (captures beyond EventCallback::kInlineCapacity do not
+  // compile).
   template <typename F>
   EventHandle at(Time when, F&& fn) {
     PP_CHECK_AT(when >= now_, "sim.simulator.schedule_into_past", now_);
@@ -46,8 +47,8 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   std::uint64_t events_fired() const { return events_fired_; }
-  // Scheduling/allocation behaviour of the event engine (sim.events.* /
-  // sim.alloc.* when published through obs).
+  // Scheduling behaviour of the event engine (sim.events.* when published
+  // through obs).
   const EventQueue::Stats& queue_stats() const { return queue_.stats(); }
   std::size_t queue_slab_slots() const { return queue_.slab_slots(); }
 

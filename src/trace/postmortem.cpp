@@ -14,7 +14,8 @@ PostmortemReport PostmortemAnalyzer::analyze(net::Ipv4Addr client,
   rep.client = client;
 
   sim::Simulator replay;
-  energy::EnergyAccountant acc{model_, sim::Time::zero(),
+  energy::EnergyLedger ledger{model_};
+  energy::EnergyAccountant acc{ledger, sim::Time::zero(),
                                energy::WnicMode::Idle};
   client::PowerDaemon daemon{replay, client, cfg, [&](bool awake) {
                                acc.set_mode(replay.now(),

@@ -1,4 +1,4 @@
-// Self-tests for the pp_analyze / pp_lint rule families.
+// Self-tests for the pp_analyze rule families and baseline loader.
 //
 // Each rule runs against small positive/negative fixture trees under
 // tests/fixtures/analyze/ (PP_ANALYZE_FIXTURES points there).  Fixture
@@ -23,6 +23,7 @@ using pp::analyze::apply_baseline;
 using pp::analyze::BaselineEntry;
 using pp::analyze::Finding;
 using pp::analyze::finding_line_text;
+using pp::analyze::load_baseline;
 using pp::analyze::ProjectIndex;
 
 ProjectIndex load_fixture(const std::string& name) {
@@ -244,6 +245,20 @@ TEST(Suppression, BaselineMatchesContentNotLineNumber) {
   const auto stale = apply_baseline(idx, baseline, just_one);
   EXPECT_TRUE(just_one.empty());
   EXPECT_TRUE(stale.empty());
+}
+
+// A baseline may carry cross-file findings only: an entry naming a
+// per-file rule (wall-clock here, on line 3) invalidates the whole file,
+// so such findings stay suppressible only by an allow comment at the site.
+TEST(Suppression, BaselineRejectsPerFileRuleEntries) {
+  std::vector<BaselineEntry> baseline;
+  std::string error;
+  EXPECT_FALSE(load_baseline(
+      std::string{PP_ANALYZE_FIXTURES} + "/baselines/file_rule.txt",
+      baseline, error));
+  EXPECT_TRUE(baseline.empty());
+  EXPECT_NE(error.find("'wall-clock'"), std::string::npos) << error;
+  EXPECT_NE(error.find("file_rule.txt:3:"), std::string::npos) << error;
 }
 
 // -- per-file determinism families ------------------------------------------

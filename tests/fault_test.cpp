@@ -188,7 +188,7 @@ TEST(ApStall, FreezesQueueAndReleasesInOrder) {
   net::Packet b = downlink_to(kClient);
   const std::uint64_t id_a = a.id;
   const std::uint64_t id_b = b.id;
-  sim.at(Time::ms(1), [&, a, b]() mutable {
+  sim.at(Time::ms(1), [&] {
     ap.handle_packet(std::move(a));
     ap.handle_packet(std::move(b));
   });

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 
 #include "exp/builder.hpp"
 #include "exp/parallel.hpp"
@@ -35,6 +36,16 @@ TEST(Testbed, ServersGetSequentialAddresses) {
   Testbed bed{tp, std::make_unique<proxy::FixedIntervalScheduler>(Time::ms(100))};
   EXPECT_EQ(bed.add_server("a").ip().str(), "10.0.0.1");
   EXPECT_EQ(bed.add_server("b").ip().str(), "10.0.0.2");
+}
+
+// Client 65535 would get 172.16.0.0 and client 65536 would alias client 0,
+// so such a cell is refused before any client is built.
+TEST(Testbed, RejectsMoreClientsThanAddresses) {
+  TestbedParams tp;
+  tp.num_clients = kMaxTestbedClients + 1;
+  EXPECT_THROW(
+      Testbed(tp, std::make_unique<proxy::FixedIntervalScheduler>(Time::ms(100))),
+      std::invalid_argument);
 }
 
 TEST(Testbed, AddServerAfterStartThrows) {

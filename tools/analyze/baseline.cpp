@@ -17,12 +17,18 @@ std::string trim(const std::string& s) {
 
 }  // namespace
 
-bool load_baseline(const std::string& path,
-                   std::vector<BaselineEntry>& out) {
+bool load_baseline(const std::string& path, std::vector<BaselineEntry>& out,
+                   std::string& error) {
   std::ifstream in(path);
-  if (!in) return false;
+  if (!in) {
+    error = "cannot read baseline " + path;
+    return false;
+  }
+  std::vector<BaselineEntry> entries;
   std::string line;
+  int line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     const std::size_t t1 = line.find('\t');
     if (t1 == std::string::npos) continue;
@@ -32,8 +38,16 @@ bool load_baseline(const std::string& path,
     e.rule = line.substr(0, t1);
     e.file = line.substr(t1 + 1, t2 - t1 - 1);
     e.line_text = line.substr(t2 + 1);
-    out.push_back(std::move(e));
+    if (is_file_rule(e.rule)) {
+      error = path + ":" + std::to_string(line_no) + ": per-file rule '" +
+              e.rule +
+              "' cannot be baselined; suppress it with an allow comment "
+              "at the site";
+      return false;
+    }
+    entries.push_back(std::move(e));
   }
+  out = std::move(entries);
   return true;
 }
 

@@ -8,11 +8,14 @@
 //
 //   <rule>\t<file>\t<trimmed source line>
 //
-// Lines starting with '#' and blank lines are ignored.  Matching consumes
-// entries (an entry accepts at most one finding per run); entries that
-// matched nothing are reported as stale so the file shrinks as findings
-// are fixed.  New findings — anything not allow-annotated and not in the
-// baseline — fail the run.
+// Lines starting with '#' and blank lines are ignored.  Only project-rule
+// findings can be baselined: an entry naming a per-file rule
+// (is_file_rule — wall-clock, randomness, ...) makes the whole baseline
+// invalid, so those findings stay suppressible only by an allow comment
+// at the site.  Matching consumes entries (an entry accepts at most one
+// finding per run); entries that matched nothing are reported as stale so
+// the file shrinks as findings are fixed.  New findings — anything not
+// allow-annotated and not in the baseline — fail the run.
 #pragma once
 
 #include <string>
@@ -30,9 +33,10 @@ struct BaselineEntry {
   bool consumed = false;
 };
 
-// Parse a baseline file.  Returns false (and leaves `out` empty) when the
-// path does not exist.
-bool load_baseline(const std::string& path, std::vector<BaselineEntry>& out);
+// Parse a baseline file.  Returns false, leaves `out` empty and says why in
+// `error` when the path cannot be read or an entry names a per-file rule.
+bool load_baseline(const std::string& path, std::vector<BaselineEntry>& out,
+                   std::string& error);
 
 // Trimmed content of the finding's source line, as used for matching and
 // for --update-baseline output.

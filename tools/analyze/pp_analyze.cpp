@@ -1,9 +1,8 @@
 // pp_analyze: whole-project static analysis for the simulation sources.
 //
-// Where pp_lint scans one file at a time, pp_analyze builds a project
-// index (every .cpp/.hpp under src/, bench/, examples/, tests/, with
-// include edges and module ids) and runs both the single-file rule
-// families and the cross-file ones:
+// pp_analyze builds a project index (every .cpp/.hpp under src/, bench/,
+// examples/, tests/, with include edges and module ids) and runs both the
+// single-file rule families and the cross-file ones:
 //
 //   rng-stream-unique     duplicate RNG stream tags across the project
 //   obs-name-consistency  find_*("name") reads with no registration site
@@ -14,9 +13,10 @@
 // plus wall-clock, randomness, unordered-iter, raw-new/raw-delete, and
 // naked-duration everywhere.  A finding is suppressed at the site by
 //   // pp-lint: allow(<rule>): <justification>
-// or accepted by an entry in the committed baseline (tools/analyze/
-// baseline.txt; see baseline.hpp for the format).  Anything else fails
-// the run — pp_analyze is a tier-1 ctest, so a new finding fails CI.
+// or, for the cross-file families only, accepted by an entry in the
+// committed baseline (tools/analyze/baseline.txt; see baseline.hpp for the
+// format).  Anything else fails the run — pp_analyze is a tier-1 ctest,
+// so a new finding fails CI.
 //
 // Usage:
 //   pp_analyze --root <repo-root> [--baseline <file>]
@@ -86,10 +86,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<BaselineEntry> baseline;
+  std::string error;
   if (!baseline_path.empty() &&
-      !load_baseline(baseline_path, baseline)) {
-    std::fprintf(stderr, "pp_analyze: cannot read baseline %s\n",
-                 baseline_path.c_str());
+      !load_baseline(baseline_path, baseline, error)) {
+    std::fprintf(stderr, "pp_analyze: %s\n", error.c_str());
     return 2;
   }
   const std::vector<BaselineEntry> stale =

@@ -1,7 +1,10 @@
-// Single-file rule families: the determinism/resource rules pp_lint has
-// always enforced, plus check-side-effect.  See rules.hpp for the roster.
+// Single-file rule families: the determinism/resource rules (wall-clock,
+// randomness, unordered-iter, raw-new/raw-delete, naked-duration) plus
+// check-side-effect.  See rules.hpp for the roster.
 #include <algorithm>
 #include <cctype>
+#include <iterator>
+#include <string_view>
 
 #include "analyze/rules.hpp"
 
@@ -299,6 +302,14 @@ void rule_check_side_effect(const FileScan& f, std::vector<Finding>& out) {
                "be removable without changing behaviour"});
     }
   }
+}
+
+bool is_file_rule(const std::string& rule) {
+  static constexpr std::string_view kFileRules[] = {
+      "wall-clock", "randomness",     "unordered-iter",    "raw-new",
+      "raw-delete", "naked-duration", "check-side-effect"};
+  return std::find(std::begin(kFileRules), std::end(kFileRules), rule) !=
+         std::end(kFileRules);
 }
 
 void run_file_rules(const FileScan& f, const std::string* sibling_code,
