@@ -9,13 +9,18 @@
 // second and delivered bytes per client-second, plus the parallel speedup
 // over a serial (1-worker) pass of the same fleet.
 //
-// --smoke shrinks the fleet (4 cells x 250 clients, 2 s) for the
-// bench-smoke ctest label; that mode also re-runs the fleet at the
-// resolved worker count and asserts the replay digest is bit-identical to
-// the serial pass — the cross-thread determinism property the multi-cell
-// engine guarantees.  --check=FILE re-measures the smoke fleet and gates
-// events/sec against the committed BENCH_scale.json row (tolerance from
-// PP_PERF_TOLERANCE, default 0.5 — CI machines are noisy and small).
+// Each fleet runs serially (1 worker) kRepeats times; the reported
+// events/sec is the median of those passes, bracketed by their min and
+// max, and every repeat must reproduce the first one's replay digest.  A further pass at the resolved worker count must reproduce it
+// too — the cross-thread determinism property the multi-cell engine
+// guarantees — and gives the speedup.
+//
+// --smoke shrinks the fleet (4 cells x 250 clients, 30 s: a few hundred
+// ms of wall time per pass, long enough to time) for the bench-smoke
+// ctest label.  --check=FILE re-measures the smoke fleet and gates its
+// median events/sec against the committed BENCH_scale.json row
+// (tolerance from PP_PERF_TOLERANCE, default 0.5 — CI machines are noisy
+// and small).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -36,6 +41,10 @@
 namespace {
 
 int g_failures = 0;
+
+// Serial passes per fleet: the timed median needs enough of them to shrug
+// off one descheduled pass on a shared host.
+constexpr int kRepeats = 5;
 
 void expect_ok(bool ok, const char* what) {
   if (ok) {
@@ -90,6 +99,10 @@ struct Measurement {
   std::uint64_t bytes = 0;
   std::uint64_t backbone = 0;
   std::uint64_t digest = 0;
+
+  double events_per_sec() const {
+    return wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
+  }
 };
 
 Measurement measure(const pp::exp::MultiCellConfig& mc, unsigned threads) {
@@ -106,6 +119,12 @@ Measurement measure(const pp::exp::MultiCellConfig& mc, unsigned threads) {
   for (const auto& cell : res.cells)
     for (const auto& c : cell.clients) m.bytes += c.bytes_received;
   return m;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 // Pull `"events_per_sec":<num>` out of the row tagged `"bench":"<tag>"`.
@@ -151,7 +170,7 @@ int main(int argc, char** argv) {
   if (!smoke_only) specs.push_back(FleetSpec{"full", cells, per_cell, seconds});
   // The smoke fleet always runs: it carries the determinism checks and is
   // the row the CI gate compares against.
-  specs.push_back(FleetSpec{"smoke", 4, 250, 2.0});
+  specs.push_back(FleetSpec{"smoke", 4, 250, 30.0});
 
   bench::Report rep{"multi-cell scale sweep"};
   auto& sec = rep.section("aggregate throughput");
@@ -168,33 +187,38 @@ int main(int argc, char** argv) {
                 spec.cells, spec.clients_per_cell, total_clients,
                 spec.seconds, resolved);
 
-    // Serial reference pass: the determinism anchor and the speedup
-    // denominator.
-    const Measurement serial = measure(mc, 1);
-    Measurement par = serial;
+    // Serial passes: the timed measurement, the determinism anchor and
+    // the speedup denominator.
+    std::vector<Measurement> passes;
+    std::vector<double> eps_runs;
+    for (int r = 0; r < kRepeats; ++r) {
+      passes.push_back(measure(mc, 1));
+      eps_runs.push_back(passes.back().events_per_sec());
+    }
+    const Measurement& serial = passes.front();
+    bool stable = true;
+    for (const Measurement& m : passes)
+      stable = stable && m.digest == serial.digest && m.events == serial.events;
+    expect_ok(stable, "repeated serial digest bit-identical");
+    const double eps = median(eps_runs);
+    const double eps_min = *std::min_element(eps_runs.begin(), eps_runs.end());
+    const double eps_max = *std::max_element(eps_runs.begin(), eps_runs.end());
+    const double serial_wall = eps > 0 ? static_cast<double>(serial.events) / eps
+                                       : 0.0;
     double speedup = 1.0;
     if (resolved > 1) {
-      par = measure(mc, resolved);
+      const Measurement par = measure(mc, resolved);
       expect_ok(par.digest == serial.digest,
                 "parallel digest bit-identical to serial");
       expect_ok(par.events == serial.events, "event count worker-invariant");
-      speedup = par.wall_s > 0 ? serial.wall_s / par.wall_s : 0.0;
-    } else if (smoke_only) {
-      // One hardware thread: re-run serial and still require digest
-      // stability across repeated runs.
-      const Measurement again = measure(mc, 1);
-      expect_ok(again.digest == serial.digest,
-                "repeated serial digest bit-identical");
+      speedup = par.wall_s > 0 ? serial_wall / par.wall_s : 0.0;
     }
     expect_ok(serial.digest != 0, "replay digest available (obs enabled)");
     expect_ok(serial.backbone > 0, "backbone carried cross-cell traffic");
 
-    const double eps = par.wall_s > 0
-                           ? static_cast<double>(par.events) / par.wall_s
-                           : 0.0;
     if (std::strcmp(spec.tag, "smoke") == 0) smoke_eps = eps;
     const double bytes_per_client_sec =
-        static_cast<double>(par.bytes) /
+        static_cast<double>(serial.bytes) /
         (static_cast<double>(total_clients) * spec.seconds);
 
     sec.row()
@@ -203,15 +227,21 @@ int main(int argc, char** argv) {
         .cell("clients", total_clients)
         .cell("sim_s", spec.seconds, 1)
         .cell("threads", resolved)
-        .cell("wall_s", par.wall_s, 2)
-        .cell("events", par.events)
+        .cell("repeats", kRepeats)
+        .cell("wall_s", serial_wall, 2)
+        .cell("events", serial.events)
         .cell("events_per_sec", eps, 0)
+        .cell("events_per_sec_min", eps_min, 0)
+        .cell("events_per_sec_max", eps_max, 0)
         .cell("bytes_per_client_sec", bytes_per_client_sec, 1)
-        .cell("backbone_msgs", par.backbone)
+        .cell("backbone_msgs", serial.backbone)
         .cell("speedup_vs_serial", speedup, 2);
   }
-  rep.note("speedup_vs_serial is measured on this machine's core count; "
-           "1.00 on a single-core runner is expected, not a regression");
+  rep.note("events_per_sec is the median of `repeats` serial (1-worker) "
+           "passes, wall_s the matching wall time; min/max bracket them");
+  rep.note("speedup_vs_serial is measured at `threads` workers on this "
+           "machine's core count; 1.00 on a single-core runner is expected, "
+           "not a regression");
   rep.note("refresh: Release build, quiet machine: "
            "scale_sweep --out=BENCH_scale.json");
   const double eps = smoke_eps;
@@ -236,7 +266,7 @@ int main(int argc, char** argv) {
     }
     const double floor = base * (1.0 - tolerance);
     const bool ok = eps >= floor;
-    std::printf("smoke %12.0f ev/s  baseline %12.0f  floor %12.0f  %s\n",
+    std::printf("smoke %12.0f ev/s (median)  baseline %12.0f  floor %12.0f  %s\n",
                 eps, base, floor, ok ? "OK" : "REGRESSED");
     if (!ok) {
       std::fprintf(stderr,

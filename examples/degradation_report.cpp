@@ -140,11 +140,9 @@ int main(int argc, char** argv) {
       open.erase(key);
     }
   }
-  std::printf("  activated=%llu recovered=%llu ge_bad_entries=%llu "
-              "(ge=%llu fade=%llu losses)\n",
+  std::printf("  activated=%llu recovered=%llu (ge=%llu fade=%llu losses)\n",
               static_cast<unsigned long long>(res.fault_stats.windows_activated),
               static_cast<unsigned long long>(res.fault_stats.windows_recovered),
-              static_cast<unsigned long long>(res.fault_stats.ge_bad_entries),
               static_cast<unsigned long long>(res.fault_stats.ge_losses),
               static_cast<unsigned long long>(res.fault_stats.fade_losses));
 

@@ -232,6 +232,9 @@ ScenarioResult ScenarioRun::finish() {
   res.ap_drops = bed.access_point().downlink_dropped();
   res.frames_on_air = bed.medium().frames_sent();
   if (auto* fp = bed.fault_plan()) res.fault_stats = fp->stats();
+  res.fault_stats.fade_losses = bed.medium().frames_faded();
+  if (auto* ch = bed.channel_model())
+    res.fault_stats.ge_losses = ch->stats().losses;
   res.clients.reserve(cfg_.roles.size());
   for (std::size_t i = 0; i < cfg_.roles.size(); ++i) {
     auto& cl = bed.client(static_cast<int>(i));

@@ -90,12 +90,12 @@ struct ScenarioConfig {
   std::optional<net::AccessPointParams> ap;
   bool video_adaptive = true;  // RealServer loss adaptation on/off
   // -- Fault injection & graceful degradation (see src/fault/) -------------------
-  // Gilbert–Elliott channel and typed fault windows; empty = no faults.
+  // Typed fault windows and churn storms; empty = no faults.
   fault::FaultSpec fault{};
   // -- Channel-quality model (see src/channel/) ----------------------------------
-  // Per-client multi-state loss ladder with deterministic per-client RNG
-  // streams; mutually exclusive with `fault` (the FaultPlan owns the loss
-  // model on faulted runs).  Disabled = the flat wireless_p_loss above.
+  // Per-client multi-state loss ladder (two rungs = Gilbert-Elliott) with
+  // deterministic per-client RNG streams; composes with `fault`.
+  // Disabled = the flat wireless_p_loss above.
   channel::ChannelSpec channel{};
   // Proxy schedule hardening: SRP broadcast transmissions per interval.
   int schedule_repeats = 1;
@@ -151,7 +151,8 @@ struct ScenarioResult {
   trace::TraceBuffer trace;  // populated when keep_trace
   std::uint64_t ap_drops = 0;
   std::uint64_t frames_on_air = 0;
-  // Fault-layer stats (zeroed when cfg.fault is empty).
+  // Fault-window counts (zeroed when cfg.fault is empty) plus the frames
+  // lost to deep fades and to the channel model.
   fault::FaultStats fault_stats{};
   // Populated when keep_obs: the full metrics registry (time gauges already
   // finalized at `horizon`) and event timeline from the run.

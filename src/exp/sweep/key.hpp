@@ -46,7 +46,12 @@ namespace pp::exp::sweep {
 // adaptive-compensation run (new canonical_config field jitter_guard);
 // measured_goodput composes with all demand-driven policies; replay
 // digests re-pinned.
-inline constexpr std::uint64_t kCodeVersionSalt = 0x7070'5357'0006ULL;
+// 0007: one loss model — Gilbert-Elliott is a ticked channel::ChannelSpec
+// (the fault-layer GE fields and the channel stream-mode field are gone),
+// fault windows draw no randomness, faulted runs' uniform p_loss comes from
+// the medium; RunRecord drops the ge_bad_entries/base_losses columns;
+// faulted digests re-pinned.
+inline constexpr std::uint64_t kCodeVersionSalt = 0x7070'5357'0007ULL;
 
 // Deterministic text rendering of every config field ("k=v\n" lines).
 std::string canonical_config(const ScenarioConfig& cfg);

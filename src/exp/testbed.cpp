@@ -77,8 +77,7 @@ Testbed::Testbed(TestbedParams params,
 
   // Fault plan: wired to every faultable component; windows arm at start().
   if (params_.fault.any()) {
-    fault_ = std::make_unique<fault::FaultPlan>(sim_, params_.fault,
-                                                params_.seed);
+    fault_ = std::make_unique<fault::FaultPlan>(sim_, params_.fault);
     fault_->attach_medium(medium_);
     fault_->attach_access_point(ap_);
     fault_->attach_wired_link(proxy_ap_link_->a_to_b(),
@@ -109,17 +108,12 @@ Testbed::Testbed(TestbedParams params,
   }
 
   // Channel-quality model: replaces the medium's flat p_loss with the
-  // per-client state ladder and gives the proxy a quality observer.  On
-  // faulted runs the FaultPlan owns the loss model instead, but its GE
-  // chain (when present) still serves the proxy as a read-only observer.
+  // per-client state ladder and gives the proxy a quality observer.
   if (params_.channel.enabled) {
-    PP_CHECK(!params_.fault.any(), "exp.testbed.channel_vs_fault");
     channel_ = std::make_unique<channel::ChannelModel>(params_.channel,
                                                        params_.seed);
     medium_.set_loss_model(channel_.get());
     proxy_->set_channel_observer(channel_.get());
-  } else if (fault_ && fault_->channel_observer() != nullptr) {
-    proxy_->set_channel_observer(fault_->channel_observer());
   }
 
   // Clients.  Energy state lives in the shared fleet ledger (one SoA row

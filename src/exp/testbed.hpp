@@ -48,14 +48,13 @@ struct TestbedParams {
   client::ClientParams client{};
   proxy::ProxyParams proxy{};
   // Fault-injection plan (see src/fault/).  When any() is true a FaultPlan
-  // is constructed from the run seed and wired to the medium, AP, the
+  // is constructed and wired to the medium (deep fades), AP, the
   // proxy <-> AP link, and the proxy's pause control; arm() runs at start().
   fault::FaultSpec fault{};
   // Channel-quality model (see src/channel/).  When enabled a ChannelModel
   // with per-client deterministic streams replaces the medium's flat p_loss
-  // and the proxy observes per-client state at each SRP.  Mutually
-  // exclusive with `fault` — the FaultPlan owns the loss model on faulted
-  // runs (its GE chain is exposed to the proxy as a read-only observer).
+  // and the proxy observes per-client state at each SRP.  Composes with
+  // `fault`: a faded station loses its frames before the channel is asked.
   channel::ChannelSpec channel{};
   // Attach a MetricsRegistry + Timeline to every component.  Disable to
   // run with all instrumentation hooks detached (near-zero overhead; see

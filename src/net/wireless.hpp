@@ -53,11 +53,12 @@ class WirelessStation {
   }
 };
 
-// Pluggable frame-corruption model.  When installed via set_loss_model(),
-// the medium consults it once per (frame, receiver) delivery attempt
-// instead of drawing uniform p_loss from the shared simulator RNG; the
-// model owns its own RNG stream.  `receiver` is the station's IP (the
-// default 0.0.0.0 address for the access point's radio).
+// Pluggable frame-corruption model (channel::ChannelModel).  When
+// installed via set_loss_model(), the medium consults it once per (frame,
+// receiver) delivery attempt on an unfaded channel instead of drawing
+// uniform p_loss from the shared simulator RNG; the model owns its own RNG
+// streams.  `receiver` is the station's IP (the default 0.0.0.0 address
+// for the access point's radio).
 class ChannelLossModel {
  public:
   virtual ~ChannelLossModel() = default;
@@ -120,6 +121,12 @@ class WirelessMedium {
 
   void add_sniffer(SnifferFn fn) { sniffers_.push_back(std::move(fn)); }
 
+  // Deep fade on the radio link of the station owning `ip`: while faded,
+  // every frame to or from that station is lost before any loss draw, so a
+  // fade consumes no randomness.  Calls nest: the station stays faded until
+  // every set_faded(ip, true) is matched by a set_faded(ip, false).
+  void set_faded(Ipv4Addr ip, bool on);
+
   // True when the station owning `ip` currently has its radio listening.
   // Used by the access point to model the PS-Poll exchange: parked frames
   // are only released to stations that are awake to ask for them.
@@ -131,6 +138,8 @@ class WirelessMedium {
 
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_missed() const { return frames_missed_; }
+  // Frames lost because their station's link was faded (both directions).
+  std::uint64_t frames_faded() const { return frames_faded_; }
 
   const WirelessParams& params() const { return params_; }
 
@@ -145,6 +154,7 @@ class WirelessMedium {
   struct Entry {
     WirelessStation* station;
     Ipv4Addr ip;
+    std::uint32_t fade_depth = 0;  // open set_faded(ip, true) calls
   };
 
   void finish_frame(StationId sender, Packet pkt, sim::Time air_start,
@@ -152,8 +162,10 @@ class WirelessMedium {
   void finish_burst(ChunkQueue burst, sim::Time air_start);
   // Takes the packet by value: callers copy for all but the final delivery
   // of a frame and move for the last one, so a unicast frame's payload
-  // shared_ptr is handed down the stack without refcount churn.
-  void deliver_to(StationId receiver, Packet pkt, sim::Time air_start,
+  // shared_ptr is handed down the stack without refcount churn.  `link` is
+  // the client station whose radio link carries the frame: the receiver on
+  // downlink, the sender on uplink.
+  void deliver_to(StationId receiver, StationId link, Packet pkt,
                   sim::Duration airtime, bool& any_delivered);
 
   sim::Simulator& sim_;
@@ -164,6 +176,7 @@ class WirelessMedium {
   std::vector<SnifferFn> sniffers_;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_missed_ = 0;
+  std::uint64_t frames_faded_ = 0;
   ChannelLossModel* loss_model_ = nullptr;
 
   obs::Hook obs_;

@@ -152,17 +152,15 @@ TEST(DeterminismTest, DigestIsSensitiveToConfig) {
 }
 
 // The acceptance property for the fault layer: a run with the full fault
-// battery armed — Gilbert-Elliott bursty loss, every window kind, k-repeat
-// and miss escalation — stays a pure function of its config.  The fault
-// stream is named (derived from the run seed, never sim_.rng()), so the
-// hash salt must not leak into any fault draw or recovery path.
+// battery armed — a Gilbert-Elliott channel, every window kind, k-repeat
+// and miss escalation — stays a pure function of its config.  Channel
+// streams are named per client and fault windows draw nothing, so the
+// hash salt must not leak into any loss draw or recovery path.
 ScenarioConfig faulted_config() {
   ScenarioBuilder b = short_mixed_builder();
+  // Bad sojourns (~100 ticks = 2 s) span multiple SRPs.
+  b.channel(channel::ChannelSpec::two_state(0.02, 0.01, 0.001, 0.9));
   auto& f = b.fault_spec();
-  f.ge.enabled = true;
-  f.ge.p_good_bad = 0.02;
-  f.ge.p_bad_good = 0.01;  // bad sojourns span multiple SRPs
-  f.ge.loss_bad = 0.9;
   f.fade(testbed_client_ip(0), Time::ms(2500), Time::ms(1200));
   f.ap_stall(Time::ms(5000), Time::ms(700));
   f.link_flap(Time::ms(7000), Time::ms(400));
@@ -190,10 +188,8 @@ TEST(DeterminismTest, DigestIsSensitiveToFaultSpec) {
   ScopedHashSalt s{1};
   const ScenarioConfig a = short_mixed_config();
   ScenarioConfig b = a;
-  b.fault.ge.enabled = true;
-  b.fault.ge.p_good_bad = 0.05;
-  b.fault.ge.p_bad_good = 0.05;
-  b.fault.ge.loss_bad = 0.9;
+  b.fault.windows.push_back({fault::FaultKind::ApStall, net::Ipv4Addr{},
+                             Time::ms(3000), Time::ms(600)});
   EXPECT_NE(run_digest(a), run_digest(b));
 }
 
@@ -287,22 +283,21 @@ TEST(PinnedDigestTest, LegacyScenariosUnchanged) {
   EXPECT_EQ(run_digest(web), 0x4d758b7f3509f48aull);
 }
 
-TEST(PinnedDigestTest, FaultedScenariosUnchangedAcrossGeDelegation) {
+// Re-pinned once for the single loss model (salt 0007): Gilbert-Elliott
+// is a ticked two-rung channel ladder and fault windows draw nothing.
+TEST(PinnedDigestTest, FaultedScenariosUnchanged) {
   ScopedHashSalt s{1};
-  // The full fault battery (faulted_config above).
-  EXPECT_EQ(run_digest(faulted_config()), 0x0f80905f0979b14cull);
+  // The full fault battery over a Gilbert-Elliott channel
+  // (faulted_config above).
+  EXPECT_EQ(run_digest(faulted_config()), 0x14c032dcff28b525ull);
 
-  // Pure Gilbert-Elliott corruption, no windows: the delegated
-  // channel::ChannelModel must consume the exact legacy draw sequence.
+  // Pure Gilbert-Elliott corruption, no windows (pp_digest's ge_faulted).
   ScenarioConfig ge = digest_base();
   ge.roles = {1, 1, 2, kRoleWeb};
   ge.duration_s = 15.0;
   ge.web_pages = 3;
-  ge.fault.ge.enabled = true;
-  ge.fault.ge.p_good_bad = 0.01;
-  ge.fault.ge.p_bad_good = 0.05;
-  ge.fault.ge.loss_bad = 0.85;
-  EXPECT_EQ(run_digest(ge), 0x4bde2b9a752abe5dull);
+  ge.channel = channel::ChannelSpec::two_state(0.01, 0.05, 0.001, 0.85);
+  EXPECT_EQ(run_digest(ge), 0x44ca6f2d3c6b1675ull);
 }
 
 #endif  // __GLIBCXX__ && __x86_64__

@@ -1,12 +1,13 @@
-// Fault-injection layer tests: deterministic fault streams, the
-// Gilbert-Elliott channel, component effects (AP stall, link flap, proxy
-// pause), graceful degradation end-to-end through the wireless medium, and
-// the auditor's fault-window pairing invariant.
+// Fault-injection layer tests: deep fades on the medium, component effects
+// (AP stall, link flap, proxy pause), graceful degradation end-to-end
+// through the wireless medium, and the auditor's fault-window pairing
+// invariant.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "channel/spec.hpp"
 #include "check/audit.hpp"
 #include "check/check.hpp"
 #include "exp/builder.hpp"
@@ -35,119 +36,84 @@ net::Packet downlink_to(net::Ipv4Addr dst) {
   return p;
 }
 
-// -- Named RNG stream --------------------------------------------------------------
-
-TEST(FaultStream, ReproduciblePerSeedAndIndependent) {
-  sim::Rng a = fault_stream(42);
-  sim::Rng b = fault_stream(42);
-  for (int i = 0; i < 256; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-  sim::Rng c = fault_stream(43);
-  sim::Rng d = fault_stream(42);
-  // Different run seed diverges immediately; the stream tag keeps the
-  // fault stream distinct from a raw Rng{seed} (the simulator's stream).
-  EXPECT_NE(c.next_u64(), d.next_u64());
-  EXPECT_NE(sim::Rng{42}.next_u64(), fault_stream(42).next_u64());
-}
-
-// -- Gilbert-Elliott channel -------------------------------------------------------
-
-TEST(GilbertElliott, CorruptionSequenceIsDeterministic) {
-  sim::Simulator sim1{7};
-  sim::Simulator sim2{7};
-  FaultSpec spec;
-  spec.ge.enabled = true;
-  spec.ge.p_good_bad = 0.1;
-  spec.ge.p_bad_good = 0.2;
-  FaultPlan p1{sim1, spec, 7};
-  FaultPlan p2{sim2, spec, 7};
-  const net::Packet pkt = downlink_to(kClient);
-  for (int i = 0; i < 2000; ++i) {
-    EXPECT_EQ(p1.corrupted(pkt, kClient, Time::ms(i)),
-              p2.corrupted(pkt, kClient, Time::ms(i)));
-  }
-  EXPECT_EQ(p1.stats().ge_losses, p2.stats().ge_losses);
-  EXPECT_EQ(p1.stats().ge_bad_entries, p2.stats().ge_bad_entries);
-  EXPECT_GT(p1.stats().ge_losses, 0u);
-  EXPECT_GT(p1.stats().ge_bad_entries, 0u);
-}
-
-TEST(GilbertElliott, LossesClusterInBadState) {
-  // With rare entries into a long, lossy bad state, overall loss must sit
-  // far above the good-state rate yet losses must arrive in bursts: more
-  // clustered than independent drops at the same average rate.
-  sim::Simulator sim{11};
-  FaultSpec spec;
-  spec.ge.enabled = true;
-  spec.ge.p_good_bad = 0.01;
-  spec.ge.p_bad_good = 0.05;
-  spec.ge.loss_good = 0.0;
-  spec.ge.loss_bad = 0.9;
-  FaultPlan plan{sim, spec, 11};
-  const net::Packet pkt = downlink_to(kClient);
-  const int n = 20000;
-  int losses = 0;
-  int adjacent = 0;  // lost frame immediately following a lost frame
-  bool prev = false;
-  for (int i = 0; i < n; ++i) {
-    const bool lost = plan.corrupted(pkt, kClient, Time::ms(i));
-    if (lost) {
-      ++losses;
-      if (prev) ++adjacent;
-    }
-    prev = lost;
-  }
-  const double rate = static_cast<double>(losses) / n;
-  EXPECT_GT(rate, 0.05);
-  EXPECT_LT(rate, 0.5);
-  // Independent losses would give adjacent/losses ~= rate; bursty losses
-  // repeat far more often.
-  EXPECT_GT(static_cast<double>(adjacent) / losses, 3.0 * rate);
-}
-
-TEST(GilbertElliott, PerClientChainsAreIndependent) {
-  sim::Simulator sim{3};
-  FaultSpec spec;
-  spec.ge.enabled = true;
-  spec.ge.p_good_bad = 0.05;
-  spec.ge.p_bad_good = 0.05;
-  spec.ge.loss_good = 0.0;
-  spec.ge.loss_bad = 1.0;
-  FaultPlan plan{sim, spec, 3};
-  const net::Ipv4Addr other = net::Ipv4Addr::octets(172, 16, 0, 2);
-  // Interleaved draws on two channels both make progress; the keying uses
-  // the receiver for downlink and the source for uplink (AP receiver).
-  const net::Packet down_a = downlink_to(kClient);
-  net::Packet up_a = net::make_packet();
-  up_a.src = kClient;
-  up_a.dst = net::Ipv4Addr::octets(10, 0, 0, 1);
-  int a_lost = 0;
-  int b_lost = 0;
-  for (int i = 0; i < 5000; ++i) {
-    if (plan.corrupted(down_a, kClient, Time::ms(i))) ++a_lost;
-    if (plan.corrupted(downlink_to(other), other, Time::ms(i))) ++b_lost;
-    // Uplink frame from kClient advances the same chain as its downlink.
-    plan.corrupted(up_a, net::Ipv4Addr{}, Time::ms(i));
-  }
-  EXPECT_GT(a_lost, 0);
-  EXPECT_GT(b_lost, 0);
-}
-
 // -- Deep fade ---------------------------------------------------------------------
 
+// A station that counts what reaches it (client radio or the AP's radio).
+struct CountingStation : net::WirelessStation {
+  int delivered = 0;
+  int missed_frames = 0;
+  bool listening() const override { return true; }
+  void deliver(net::Packet, sim::Duration) override { ++delivered; }
+  void missed(const net::Packet&, sim::Duration) override { ++missed_frames; }
+};
+
+// A DeepFade window fades the station on the medium at its edges: every
+// frame to or from the client inside [start, end) is lost, and nothing
+// outside it or on another client's link.
 TEST(DeepFade, TotalLossInsideWindowOnly) {
+  check::ScopedFailureHandler guard{check::throwing_handler};
   sim::Simulator sim{5};
+  net::WirelessMedium medium{sim};
+  CountingStation ap_radio, a, b;
+  const net::WirelessMedium::StationId ap_id =
+      medium.attach_access_point(ap_radio);
+  const net::WirelessMedium::StationId a_id = medium.attach_station(a, kClient);
+  const net::Ipv4Addr other = net::Ipv4Addr::octets(172, 16, 0, 2);
+  medium.attach_station(b, other);
+
   FaultSpec spec;
   spec.fade(kClient, Time::ms(100), Time::ms(50));
-  FaultPlan plan{sim, spec, 5};
-  const net::Packet pkt = downlink_to(kClient);
-  EXPECT_FALSE(plan.corrupted(pkt, kClient, Time::ms(99)));
-  EXPECT_TRUE(plan.corrupted(pkt, kClient, Time::ms(100)));
-  EXPECT_TRUE(plan.corrupted(pkt, kClient, Time::ms(149)));
-  EXPECT_FALSE(plan.corrupted(pkt, kClient, Time::ms(150)));
-  // Another client's channel is untouched.
-  const net::Ipv4Addr other = net::Ipv4Addr::octets(172, 16, 0, 2);
-  EXPECT_FALSE(plan.corrupted(downlink_to(other), other, Time::ms(120)));
-  EXPECT_EQ(plan.stats().fade_losses, 2u);
+  FaultPlan plan{sim, spec};
+  plan.attach_medium(medium);
+  plan.arm();
+
+  // One downlink frame to each client and one uplink frame from the faded
+  // client, every 10 ms; each lands a few ms after it is queued.
+  for (int t = 0; t < 200; t += 10) {
+    sim.at(Time::ms(t), [&] {
+      medium.transmit(ap_id, downlink_to(kClient));
+      medium.transmit(ap_id, downlink_to(other));
+      net::Packet up = net::make_packet();
+      up.src = kClient;
+      up.dst = net::Ipv4Addr::octets(10, 0, 0, 1);
+      up.payload = 500;
+      medium.transmit(a_id, std::move(up));
+    });
+  }
+  sim.run_until(Time::ms(400));
+
+  EXPECT_FALSE(plan.active(FaultKind::DeepFade));
+  EXPECT_EQ(b.missed_frames, 0);
+  EXPECT_EQ(b.delivered, 20);
+  // The window spans five of the 10 ms rounds in each direction.
+  EXPECT_EQ(a.missed_frames, 5);
+  EXPECT_EQ(ap_radio.missed_frames, 5);
+  EXPECT_EQ(a.delivered, 15);
+  EXPECT_EQ(ap_radio.delivered, 15);
+  EXPECT_EQ(medium.frames_faded(), 10u);
+}
+
+// Overlapping fades of one station nest: the link stays faded until the
+// last window closes.
+TEST(DeepFade, OverlappingWindowsNest) {
+  check::ScopedFailureHandler guard{check::throwing_handler};
+  sim::Simulator sim{5};
+  net::WirelessMedium medium{sim};
+  CountingStation ap_radio, a;
+  const net::WirelessMedium::StationId ap_id =
+      medium.attach_access_point(ap_radio);
+  medium.attach_station(a, kClient);
+  medium.set_faded(kClient, true);
+  medium.set_faded(kClient, true);
+  medium.set_faded(kClient, false);
+  sim.at(Time::ms(1), [&] { medium.transmit(ap_id, downlink_to(kClient)); });
+  sim.run_until(Time::ms(50));
+  EXPECT_EQ(a.missed_frames, 1);
+  medium.set_faded(kClient, false);
+  sim.at(Time::ms(60), [&] { medium.transmit(ap_id, downlink_to(kClient)); });
+  sim.run_until(Time::ms(100));
+  EXPECT_EQ(a.delivered, 1);
+  EXPECT_THROW(medium.set_faded(kClient, false), check::CheckError);
 }
 
 // -- Component effects -------------------------------------------------------------
@@ -356,8 +322,9 @@ TEST(FaultEndToEnd, ScheduleRepeatsAreDeduplicated) {
             r3.clients[0].schedules_received);
 }
 
-// The acceptance scenario: a Gilbert-Elliott bad-state burst spanning
-// multiple SRPs plus an AP stall window, with k-repeat and escalation on.
+// The acceptance scenario: a Gilbert-Elliott channel whose bad-state
+// bursts span multiple SRPs plus an AP stall window, with k-repeat and
+// escalation on.
 // Completing run_scenario means every conservation audit (AP, proxy,
 // energy, auditor pairing) passed under the throwing handler.
 TEST(FaultEndToEnd, CombinedGeBurstAndApStallPassesAllAudits) {
@@ -369,16 +336,12 @@ TEST(FaultEndToEnd, CombinedGeBurstAndApStallPassesAllAudits) {
       .duration_s(12.0)
       .wireless_p_loss(0.0)
       .schedule_repeats(2)
-      .miss_escalation();
-  auto& f = b.fault_spec();
-  f.ge.enabled = true;
-  f.ge.p_good_bad = 0.02;
-  f.ge.p_bad_good = 0.01;  // mean bad sojourn ~100 attempts
-  f.ge.loss_bad = 0.95;
-  f.ap_stall(Time::ms(5000), Time::ms(700));
+      .miss_escalation()
+      // Mean bad sojourn ~100 ticks (2 s): four SRPs.
+      .channel(channel::ChannelSpec::two_state(0.02, 0.01, 0.001, 0.95));
+  b.fault_spec().ap_stall(Time::ms(5000), Time::ms(700));
   const exp::ScenarioResult res = exp::run_scenario(b.build());
   EXPECT_GT(res.fault_stats.ge_losses, 0u);
-  EXPECT_GT(res.fault_stats.ge_bad_entries, 0u);
   EXPECT_EQ(res.fault_stats.windows_activated, 1u);
   EXPECT_EQ(res.fault_stats.windows_recovered, 1u);
 }

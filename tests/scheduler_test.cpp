@@ -188,11 +188,12 @@ TEST(SlottedStaticScheduler, TcpWeightControlsSlotSize) {
 }
 
 // Parameterized sweep: every scheduler respects basic layout invariants for
-// a range of demand mixes.
+// a range of demand mixes.  gtest names each case by the struct's raw bytes,
+// so every field is 8 bytes wide: no padding, hence stable test ids.
 struct SchedCase {
   std::uint64_t udp;
   std::uint64_t tcp;
-  int clients;
+  std::int64_t clients;
 };
 
 class SchedulerLayoutSweep : public ::testing::TestWithParam<SchedCase> {};
