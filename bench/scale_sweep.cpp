@@ -109,7 +109,7 @@ Measurement measure(const pp::exp::MultiCellConfig& mc, unsigned threads) {
   // pp-lint: allow(wall-clock): perf harness; wall time is the measurement
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
-  pp::exp::MultiCellResult res = pp::exp::run_multicell(mc, threads);
+  pp::exp::MultiCellResult res = pp::exp::MultiCellTestbed{mc}.run(threads);
   const auto t1 = clock::now();
   Measurement m;
   m.wall_s = std::chrono::duration<double>(t1 - t0).count();

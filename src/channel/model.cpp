@@ -16,6 +16,8 @@ namespace {
 constexpr std::uint64_t kChannelStreamTag = 0xC4A77E10'5AD1E5CULL;
 // Odd multiplier decorrelating per-client child seeds before splitmix64.
 constexpr std::uint64_t kClientSeedMix = 0x9E3779B97F4A7C15ULL;
+// Recent-loss EWMA weight per attempt (observer surface only).
+constexpr double kEwmaAlpha = 0.05;
 
 }  // namespace
 
@@ -28,7 +30,6 @@ ChannelSpec ChannelSpec::two_state(double p_good_bad, double p_bad_good,
                                    double loss_good, double loss_bad,
                                    double goodput_bps) {
   ChannelSpec s;
-  s.enabled = true;
   s.rungs.push_back(
       ChannelRung{/*p_up=*/0.0, /*p_down=*/p_good_bad, loss_good, goodput_bps});
   s.rungs.push_back(ChannelRung{/*p_up=*/p_bad_good, /*p_down=*/0.0, loss_bad,
@@ -39,9 +40,8 @@ ChannelSpec ChannelSpec::two_state(double p_good_bad, double p_bad_good,
 ChannelSpec ChannelSpec::ladder(int n, double burstiness,
                                 double top_goodput_bps) {
   ChannelSpec s;
-  s.enabled = true;
   s.rungs.reserve(static_cast<std::size_t>(n));
-  // The ladder fades in wall-clock time (the default 20 ms chain tick), not
+  // The ladder fades in wall-clock time (the model's 20 ms chain tick), not
   // per attempt: a client that is not being served still sees its fade
   // end, which is the physical premise behind deferring bad-channel
   // clients (DESIGN.md §12.3).  Higher burstiness: degraded rungs are entered more
@@ -64,11 +64,8 @@ ChannelSpec ChannelSpec::ladder(int n, double burstiness,
 }
 
 ChannelModel::ChannelModel(ChannelSpec spec, std::uint64_t run_seed)
-    : spec_{std::move(spec)},
-      seed_{run_seed},
-      tick_ns_{static_cast<std::int64_t>(spec_.tick_s * 1e9)} {
+    : spec_{std::move(spec)}, seed_{run_seed} {
   PP_CHECK(!spec_.rungs.empty(), "channel.spec.rungs");
-  PP_CHECK(tick_ns_ > 0, "channel.spec.tick");
 }
 
 void ChannelModel::set_obs(obs::Hook hook) {
@@ -120,7 +117,7 @@ ChannelModel::Attempt ChannelModel::attempt_at(net::Ipv4Addr client,
   // not the client is being served — a fade ends while a deferred client
   // sleeps.  The draw count is a pure function of `now`, so replay stays
   // deterministic and salt-invariant.
-  const std::int64_t target = now.count_ns() / tick_ns_;
+  const std::int64_t target = now.count_ns() / kTick.count_ns();
   Attempt a;
   for (; st.ticks_done < target; ++st.ticks_done) {
     a.worsened = step(st) || a.worsened;
@@ -131,7 +128,7 @@ ChannelModel::Attempt ChannelModel::attempt_at(net::Ipv4Addr client,
   // probability must not consume randomness).
   const double p = spec_.rungs[static_cast<std::size_t>(st.state)].loss;
   a.lost = p > 0 && st.rng.chance(p);
-  st.ewma += spec_.ewma_alpha * ((a.lost ? 1.0 : 0.0) - st.ewma);
+  st.ewma += kEwmaAlpha * ((a.lost ? 1.0 : 0.0) - st.ewma);
 
   ++stats_.attempts;
   if (a.lost) ++stats_.losses;

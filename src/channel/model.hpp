@@ -37,8 +37,12 @@ class ChannelModel : public net::ChannelLossModel, public ChannelObserver {
     bool worsened = false;  // this attempt moved the chain to a worse rung
   };
 
-  // Per-client streams derived from `run_seed`.  spec.tick_s must be
-  // positive.
+  // Chain clock: transition probabilities are per tick, caught up lazily
+  // at each delivery attempt.
+  static constexpr sim::Duration kTick = sim::Time::ms(20);
+
+  // Per-client streams derived from `run_seed`.  spec.rungs must be
+  // non-empty.
   ChannelModel(ChannelSpec spec, std::uint64_t run_seed);
 
   ChannelModel(const ChannelModel&) = delete;
@@ -78,7 +82,6 @@ class ChannelModel : public net::ChannelLossModel, public ChannelObserver {
 
   ChannelSpec spec_;
   std::uint64_t seed_ = 0;
-  std::int64_t tick_ns_ = 0;
   // Ordered map: chain state and stream creation must never follow
   // hash-bucket layout.
   std::map<std::uint32_t, Station> stations_;

@@ -33,20 +33,18 @@ struct ChannelRung {
   double goodput_bps = 4e6;  // nominal goodput published to observers
 };
 
+// The ladder is the whole spec: an empty ladder means no channel model
+// (the medium's flat p_loss applies), otherwise it needs >= 2 rungs.  The
+// chain clock (ChannelModel::kTick) and the observer's loss-EWMA weight
+// are constants of the model, not per-config knobs.
 struct ChannelSpec {
-  bool enabled = false;
-  // Recent-loss EWMA smoothing per attempt (observer surface only).
-  double ewma_alpha = 0.05;
-  // Chain clock: transition probabilities are per tick of this many
-  // seconds, caught up lazily at each delivery attempt.  Must be positive.
-  double tick_s = 0.02;
-  std::vector<ChannelRung> rungs;  // index 0 = best; needs >= 2 when enabled
+  std::vector<ChannelRung> rungs;  // index 0 = best
 
   int num_states() const { return static_cast<int>(rungs.size()); }
 
   // -- Presets ----------------------------------------------------------------------
   // The classic two-state Gilbert-Elliott channel (rung 0 = good), on the
-  // default 20 ms tick: mean sojourn in a state is 1/p_exit ticks.
+  // model's 20 ms tick: mean sojourn in a state is 1/p_exit ticks.
   static ChannelSpec two_state(double p_good_bad, double p_bad_good,
                                double loss_good, double loss_bad,
                                double goodput_bps = 4e6);

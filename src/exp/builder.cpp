@@ -240,25 +240,19 @@ ScenarioConfig ScenarioBuilder::build() const {
   check_web("web_pages must be positive", c.web_pages > 0);
   check_web("web_think_mean_s must be positive", c.web_think_mean_s > 0);
   check_web("ftp_bytes must be positive", c.ftp_bytes > 0);
-  if (c.channel.enabled) {
-    if (c.channel.rungs.size() < 2) {
-      fail("channel model needs at least 2 quality rungs");
-    }
-    if (!(c.channel.ewma_alpha > 0.0 && c.channel.ewma_alpha <= 1.0)) {
-      fail("channel ewma_alpha must be in (0, 1]");
-    }
-    if (!(c.channel.tick_s > 0.0)) fail("channel tick_s must be positive");
-    for (const auto& r : c.channel.rungs) {
-      for (const double p : {r.p_up, r.p_down, r.loss}) {
-        if (p < 0 || p > 1.0) {
-          fail("channel rung probabilities must be in [0, 1]");
-        }
+  if (c.channel.rungs.size() == 1) {
+    fail("channel model needs at least 2 quality rungs");
+  }
+  for (const auto& r : c.channel.rungs) {
+    for (const double p : {r.p_up, r.p_down, r.loss}) {
+      if (p < 0 || p > 1.0) {
+        fail("channel rung probabilities must be in [0, 1]");
       }
-      if (r.p_up + r.p_down > 1.0) {
-        fail("channel rung p_up + p_down must not exceed 1");
-      }
-      if (!(r.goodput_bps > 0)) fail("channel rung goodput must be positive");
     }
+    if (r.p_up + r.p_down > 1.0) {
+      fail("channel rung p_up + p_down must not exceed 1");
+    }
+    if (!(r.goodput_bps > 0)) fail("channel rung goodput must be positive");
   }
   const sim::Time horizon = sim::Time::seconds(c.duration_s);
   for (const auto& w : c.fault.windows) {

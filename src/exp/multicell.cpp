@@ -17,6 +17,8 @@ namespace {
 // this well-known port; clients have no listener (the payload is sink
 // traffic), but the datagram still rides the full proxy downlink path.
 constexpr net::Port kBackbonePort = 7977;
+// First cross-traffic emission (plus the cell's phase).
+constexpr sim::Time kCrossStart = sim::Time::sec(1);
 
 }  // namespace
 
@@ -31,12 +33,12 @@ Cell::Cell(int id, const MultiCellConfig& cfg)
   });
   gw_sock_ = std::make_unique<transport::UdpSocket>(*gateway_, kBackbonePort);
 
-  if (cross_.enabled && num_cells_ > 1 && cross_.fanout > 0) {
+  if (num_cells_ > 1 && cross_.fanout > 0) {
     // Phase-stagger emissions by cell id so the backbone exchange pattern
     // interleaves deterministically instead of synchronizing.
     const sim::Duration phase = sim::Time::ns(
         cross_.period.count_ns() * id_ / num_cells_);
-    const sim::Time first = sim::Time::seconds(cross_.start_s) + phase;
+    const sim::Time first = kCrossStart + phase;
     run_->bed().sim().at(first, [this] { emit(run_->bed().sim().now()); });
     // Start the round-robin cursors at this cell's id so the first targets
     // differ across cells.
@@ -74,6 +76,17 @@ MultiCellTestbed::MultiCellTestbed(const MultiCellConfig& cfg) : cfg_{cfg} {
     throw std::invalid_argument(
         "MultiCellTestbed: backbone_latency must be positive (it is the "
         "epoch length)");
+  if (cfg.num_cells > 1 && cfg.cross.fanout > 0) {
+    // Cross traffic picks a destination client modulo the cell size and
+    // re-arms every period: an empty cell or a period <= 0 would divide
+    // by zero or never let an epoch finish.
+    if (cfg.cell.roles.empty())
+      throw std::invalid_argument(
+          "MultiCellTestbed: cross traffic needs clients in every cell");
+    if (cfg.cross.period <= sim::Time::zero())
+      throw std::invalid_argument(
+          "MultiCellTestbed: cross.period must be positive");
+  }
   cells_.reserve(static_cast<std::size_t>(cfg.num_cells));
   for (int c = 0; c < cfg.num_cells; ++c)
     cells_.push_back(std::make_unique<Cell>(c, cfg));
@@ -147,11 +160,6 @@ MultiCellResult MultiCellTestbed::run(unsigned threads,
   }
   res.digest = any_obs ? digest : 0;
   return res;
-}
-
-MultiCellResult run_multicell(const MultiCellConfig& cfg, unsigned threads) {
-  MultiCellTestbed bed{cfg};
-  return bed.run(threads);
 }
 
 }  // namespace pp::exp

@@ -38,12 +38,12 @@
 namespace pp::exp {
 
 // Deterministic cross-cell traffic (no RNG anywhere in the generator).
+// A one-cell fleet or fanout == 0 emits nothing; otherwise each cell
+// first emits at 1 s (after its clients associated) plus its phase.
 struct CrossTrafficSpec {
-  bool enabled = true;
   sim::Duration period = sim::Time::ms(250);  // per-cell emission period
   std::uint32_t bytes = 600;                  // payload per message
   int fanout = 1;                             // messages per emission
-  double start_s = 1.0;                       // first emission (plus phase)
 };
 
 struct MultiCellConfig {
@@ -114,6 +114,9 @@ class Cell {
 
 class MultiCellTestbed {
  public:
+  // Throws std::invalid_argument for a config the epoch loop cannot run:
+  // no cells, a non-positive backbone latency, or — when cells exchange
+  // cross traffic — an empty cell or a non-positive emission period.
   explicit MultiCellTestbed(const MultiCellConfig& cfg);
   ~MultiCellTestbed();
 
@@ -133,8 +136,5 @@ class MultiCellTestbed {
   std::vector<std::unique_ptr<Cell>> cells_;
   std::uint64_t backbone_messages_ = 0;
 };
-
-MultiCellResult run_multicell(const MultiCellConfig& cfg,
-                              unsigned threads = 0);
 
 }  // namespace pp::exp

@@ -1,14 +1,13 @@
-// Multi-seed replication: run one scenario under several seeds in parallel
-// and summarize the distribution of a metric — the usual way to check that
-// a single-seed result is not a fluke.
+// Multi-seed replication statistics: summarize one metric's distribution
+// across seeds — the usual way to check that a single-seed result is not a
+// fluke.  The seeded runs themselves are ordinary sweep::Items (one per
+// seed), so they ride the sweep engine's pool and result cache like every
+// other battery; see bench/replication.cpp.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
 #include <vector>
-
-#include "exp/parallel.hpp"
-#include "exp/scenario.hpp"
 
 namespace pp::exp {
 
@@ -36,31 +35,6 @@ inline ReplicateStats summarize_samples(const std::vector<double>& xs) {
   for (double x : xs) var += (x - s.mean) * (x - s.mean);
   s.stddev = s.n > 1 ? std::sqrt(var / (s.n - 1)) : 0;
   return s;
-}
-
-// Run `cfg` under seeds base_seed .. base_seed+replicas-1 and summarize
-// `metric(result)` across the runs.
-inline ReplicateStats replicate(
-    ScenarioConfig cfg, int replicas,
-    const std::function<double(const ScenarioResult&)>& metric,
-    std::uint64_t base_seed = 1000) {
-  std::vector<std::function<double()>> tasks;
-  tasks.reserve(replicas);
-  for (int r = 0; r < replicas; ++r) {
-    ScenarioConfig c = cfg;
-    c.seed = base_seed + static_cast<std::uint64_t>(r);
-    tasks.emplace_back([c, &metric] { return metric(run_scenario(c)); });
-  }
-  return summarize_samples(run_parallel(tasks));
-}
-
-// Convenience: mean energy saved (%) across all clients.
-inline ReplicateStats replicate_saved(ScenarioConfig cfg, int replicas,
-                                      std::uint64_t base_seed = 1000) {
-  return replicate(
-      std::move(cfg), replicas,
-      [](const ScenarioResult& r) { return summarize_all(r.clients).avg; },
-      base_seed);
 }
 
 }  // namespace pp::exp

@@ -95,7 +95,7 @@ struct ScenarioConfig {
   // -- Channel-quality model (see src/channel/) ----------------------------------
   // Per-client multi-state loss ladder (two rungs = Gilbert-Elliott) with
   // deterministic per-client RNG streams; composes with `fault`.
-  // Disabled = the flat wireless_p_loss above.
+  // No rungs = the flat wireless_p_loss above.
   channel::ChannelSpec channel{};
   // Proxy schedule hardening: SRP broadcast transmissions per interval.
   int schedule_repeats = 1;

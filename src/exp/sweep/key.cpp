@@ -116,17 +116,12 @@ std::string canonical_config(const ScenarioConfig& cfg) {
   put_i64(out, "schedule_repeat_spacing_ns",
           cfg.schedule_repeat_spacing.count_ns());
   put_b(out, "miss_escalation", cfg.miss_escalation);
-  put_b(out, "channel.enabled", cfg.channel.enabled);
-  if (cfg.channel.enabled) {
-    put_f(out, "channel.ewma_alpha", cfg.channel.ewma_alpha);
-    put_f(out, "channel.tick_s", cfg.channel.tick_s);
-    put_u64(out, "channel.rungs", cfg.channel.rungs.size());
-    for (const auto& r : cfg.channel.rungs) {
-      put_f(out, "channel.rung.p_up", r.p_up);
-      put_f(out, "channel.rung.p_down", r.p_down);
-      put_f(out, "channel.rung.loss", r.loss);
-      put_f(out, "channel.rung.goodput_bps", r.goodput_bps);
-    }
+  put_u64(out, "channel.rungs", cfg.channel.rungs.size());
+  for (const auto& r : cfg.channel.rungs) {
+    put_f(out, "channel.rung.p_up", r.p_up);
+    put_f(out, "channel.rung.p_down", r.p_down);
+    put_f(out, "channel.rung.loss", r.loss);
+    put_f(out, "channel.rung.goodput_bps", r.goodput_bps);
   }
   return out;
 }
@@ -135,52 +130,14 @@ std::string canonical_config(const ScenarioConfig& cfg) {
 // extend canonical_config above and bump kCodeVersionSalt, then update the
 // pinned size.  Other ABIs skip the check rather than pin a wrong number.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(ScenarioConfig) == 424,
+static_assert(sizeof(ScenarioConfig) == 400,
               "ScenarioConfig changed: update canonical_config() and bump "
               "kCodeVersionSalt");
-#endif
-
-std::string canonical_multicell_config(const MultiCellConfig& cfg) {
-  std::string out;
-  out.reserve(1536);
-  out += "ppsweep-multicell v1\n";
-  put_i64(out, "num_cells", cfg.num_cells);
-  put_i64(out, "backbone_latency_ns", cfg.backbone_latency.count_ns());
-  put_b(out, "cross.enabled", cfg.cross.enabled);
-  if (cfg.cross.enabled) {
-    put_i64(out, "cross.period_ns", cfg.cross.period.count_ns());
-    put_u64(out, "cross.bytes", cfg.cross.bytes);
-    put_i64(out, "cross.fanout", cfg.cross.fanout);
-    put_f(out, "cross.start_s", cfg.cross.start_s);
-  }
-  // Embedded per-cell rendering: every scenario-level axis (client count
-  // via roles, policy, seed, ...) flows into the fleet key unchanged.
-  out += "cell{\n";
-  out += canonical_config(cfg.cell);
-  out += "}cell\n";
-  return out;
-}
-
-// Same reference-toolchain guard as ScenarioConfig above: fires when
-// MultiCellConfig grows, reminding you to extend
-// canonical_multicell_config() and bump kCodeVersionSalt.
-#if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(MultiCellConfig) == 472,
-              "MultiCellConfig changed: update canonical_multicell_config() "
-              "and bump kCodeVersionSalt");
 #endif
 
 std::uint64_t config_key(const ScenarioConfig& cfg, std::uint64_t salt) {
   std::uint64_t h = fnv1a_u64(kFnvOffset, salt);
   for (const char c : canonical_config(cfg)) {
-    h = fnv1a_byte(h, static_cast<std::uint8_t>(c));
-  }
-  return h;
-}
-
-std::uint64_t multicell_key(const MultiCellConfig& cfg, std::uint64_t salt) {
-  std::uint64_t h = fnv1a_u64(kFnvOffset, salt ^ 0x6d63656c6cULL);  // "mcell"
-  for (const char c : canonical_multicell_config(cfg)) {
     h = fnv1a_byte(h, static_cast<std::uint8_t>(c));
   }
   return h;

@@ -26,7 +26,6 @@
 #include <string>
 
 #include "exp/digest.hpp"
-#include "exp/multicell.hpp"
 #include "exp/scenario.hpp"
 
 namespace pp::exp::sweep {
@@ -51,24 +50,18 @@ namespace pp::exp::sweep {
 // fault windows draw no randomness, faulted runs' uniform p_loss comes from
 // the medium; RunRecord drops the ge_bad_entries/base_losses columns;
 // faulted digests re-pinned.
-inline constexpr std::uint64_t kCodeVersionSalt = 0x7070'5357'0007ULL;
+// 0008: ChannelSpec is its rung ladder alone — the canonical text loses
+// its channel flag, EWMA-weight and chain-tick lines (the 20 ms tick and
+// the 0.05 EWMA weight are ChannelModel constants; "channel.rungs=0" means
+// no channel model).  Simulated results are unchanged.
+inline constexpr std::uint64_t kCodeVersionSalt = 0x7070'5357'0008ULL;
 
 // Deterministic text rendering of every config field ("k=v\n" lines).
 std::string canonical_config(const ScenarioConfig& cfg);
 
-// Multi-cell fleets are pure functions of their MultiCellConfig the same
-// way a scenario is of its ScenarioConfig (worker count provably does not
-// matter — see tests/multicell_test.cpp), so cell count, backbone latency,
-// and the cross-traffic shape are first-class sweep axes.  The canonical
-// text embeds the per-cell scenario rendering, so any cell-level change
-// propagates into the fleet key automatically.
-std::string canonical_multicell_config(const MultiCellConfig& cfg);
-
 // FNV-1a over salt + canonical text.
 std::uint64_t config_key(const ScenarioConfig& cfg,
                          std::uint64_t salt = kCodeVersionSalt);
-std::uint64_t multicell_key(const MultiCellConfig& cfg,
-                            std::uint64_t salt = kCodeVersionSalt);
 
 // Fixed-width lowercase hex, the cache's file-name form.
 std::string key_hex(std::uint64_t key);

@@ -109,7 +109,7 @@ Testbed::Testbed(TestbedParams params,
 
   // Channel-quality model: replaces the medium's flat p_loss with the
   // per-client state ladder and gives the proxy a quality observer.
-  if (params_.channel.enabled) {
+  if (!params_.channel.rungs.empty()) {
     channel_ = std::make_unique<channel::ChannelModel>(params_.channel,
                                                        params_.seed);
     medium_.set_loss_model(channel_.get());

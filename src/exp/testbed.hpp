@@ -51,7 +51,7 @@ struct TestbedParams {
   // is constructed and wired to the medium (deep fades), AP, the
   // proxy <-> AP link, and the proxy's pause control; arm() runs at start().
   fault::FaultSpec fault{};
-  // Channel-quality model (see src/channel/).  When enabled a ChannelModel
+  // Channel-quality model (see src/channel/).  With rungs, a ChannelModel
   // with per-client deterministic streams replaces the medium's flat p_loss
   // and the proxy observes per-client state at each SRP.  Composes with
   // `fault`: a faded station loses its frames before the channel is asked.
@@ -121,7 +121,7 @@ class Testbed {
   check::Auditor* auditor() { return auditor_.get(); }
   // The fault plan (null when params.fault is empty).
   fault::FaultPlan* fault_plan() { return fault_.get(); }
-  // The channel model (null unless params.channel.enabled).
+  // The channel model (null when params.channel has no rungs).
   channel::ChannelModel* channel_model() { return channel_.get(); }
 
  private:

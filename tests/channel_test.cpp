@@ -94,7 +94,6 @@ TEST(ChannelModel, ViewOfUnknownClientIsBestRungNominal) {
 TEST(ChannelModel, BadMeansWorstRung) {
   // Force the chain into the worst rung with a certain down-transition.
   ChannelSpec spec;
-  spec.enabled = true;
   spec.rungs = {ChannelRung{0.0, 1.0, 0.0, 4e6},
                 ChannelRung{0.0, 0.0, 1.0, 1e6}};
   ChannelModel model{spec, 5};
@@ -113,9 +112,8 @@ TEST(ChannelModel, BadMeansWorstRung) {
 // attempt, so a fade evolves in wall-clock time even while the client
 // receives nothing.
 TEST(ChannelModel, TickedChainCatchesUpWithElapsedTime) {
+  ASSERT_EQ(ChannelModel::kTick, Time::ms(20));
   ChannelSpec spec;
-  spec.enabled = true;
-  spec.tick_s = 0.02;
   // Certain one-way descent: each tick moves the chain one rung down.
   spec.rungs = {ChannelRung{0.0, 1.0, 0.0, 4e6},
                 ChannelRung{0.0, 1.0, 0.0, 2e6},
@@ -133,7 +131,6 @@ TEST(ChannelModel, TickedChainCatchesUpWithElapsedTime) {
 
 TEST(ChannelModel, TickedAttemptsAreDeterministic) {
   const ChannelSpec spec = ChannelSpec::ladder(3, 0.85);
-  ASSERT_GT(spec.tick_s, 0.0);
   ChannelModel m1{spec, 99991};
   ChannelModel m2{spec, 99991};
   for (int i = 1; i <= 2000; ++i) {

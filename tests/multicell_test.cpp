@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "exp/digest.hpp"
 #include "exp/multicell.hpp"
 #include "exp/scenario.hpp"
 #include "net/addr.hpp"
@@ -66,7 +68,7 @@ void expect_same_outcomes(const MultiCellResult& a, const MultiCellResult& b,
 
 TEST(MultiCell, BackboneCarriesTrafficBetweenCells) {
   const MultiCellConfig mc = small_fleet();
-  MultiCellResult res = run_multicell(mc, /*threads=*/1);
+  MultiCellResult res = MultiCellTestbed{mc}.run(/*threads=*/1);
   ASSERT_EQ(static_cast<int>(res.cells.size()), mc.num_cells);
   EXPECT_GT(res.backbone_messages, 0u);
   EXPECT_GT(res.events_total, 0u);
@@ -83,13 +85,13 @@ TEST(MultiCell, BackboneCarriesTrafficBetweenCells) {
 
 TEST(MultiCell, DigestIndependentOfWorkerCount) {
   const MultiCellConfig mc = small_fleet();
-  const MultiCellResult serial = run_multicell(mc, 1);
+  const MultiCellResult serial = MultiCellTestbed{mc}.run(1);
   EXPECT_GT(serial.events_total, 0u);
 #if PP_OBS_ENABLED
   ASSERT_NE(serial.digest, 0u);
 #endif
   for (const unsigned threads : {2u, 4u, 8u}) {
-    const MultiCellResult par = run_multicell(mc, threads);
+    const MultiCellResult par = MultiCellTestbed{mc}.run(threads);
     expect_same_outcomes(serial, par, "worker count");
 #if PP_OBS_ENABLED
     EXPECT_EQ(serial.digest, par.digest)
@@ -103,11 +105,11 @@ TEST(MultiCell, DigestInvariantUnderHashSalt) {
   std::uint64_t a, b;
   {
     ScopedHashSalt s{1};
-    a = run_multicell(mc, 2).digest;
+    a = MultiCellTestbed{mc}.run(2).digest;
   }
   {
     ScopedHashSalt s{0x9E3779B97F4A7C15ULL};
-    b = run_multicell(mc, 2).digest;
+    b = MultiCellTestbed{mc}.run(2).digest;
   }
   EXPECT_EQ(a, b) << "hash-bucket iteration order leaked into behaviour";
 }
@@ -130,7 +132,7 @@ TEST(MultiCell, DigestInvariantUnderCellDispatchOrder) {
 TEST(MultiCell, MergedRegistryAggregatesCells) {
   MultiCellConfig mc = small_fleet();
   mc.cell.keep_obs = true;  // retain per-cell registries to check against
-  MultiCellResult res = run_multicell(mc, 1);
+  MultiCellResult res = MultiCellTestbed{mc}.run(1);
   // Counter names are cell-agnostic, so the merged registry must hold the
   // exact sum of the per-cell values, name by name.
   std::uint64_t merged = 0;
@@ -148,16 +150,15 @@ TEST(MultiCell, MergedRegistryAggregatesCells) {
 #endif  // PP_OBS_ENABLED
 
 TEST(MultiCell, SingleCellNoCrossTrafficMatchesPlainScenario) {
-  // One cell with cross-traffic off is exactly run_scenario: same events,
-  // same results — the epoch loop must not perturb anything.
+  // One cell emits no cross traffic and is exactly run_scenario: same
+  // events, same results — the epoch loop must not perturb anything.
   MultiCellConfig mc;
   mc.num_cells = 1;
   mc.cell.roles = {1, kRoleWeb};
   mc.cell.seed = 7;
   mc.cell.duration_s = 6.0;
   mc.cell.web_pages = 3;
-  mc.cross.enabled = false;
-  const MultiCellResult res = run_multicell(mc, 1);
+  const MultiCellResult res = MultiCellTestbed{mc}.run(1);
   const ScenarioResult plain = run_scenario(mc.cell);
   ASSERT_EQ(res.cells.size(), 1u);
   EXPECT_EQ(res.backbone_messages, 0u);
@@ -170,6 +171,27 @@ TEST(MultiCell, SingleCellNoCrossTrafficMatchesPlainScenario) {
     EXPECT_DOUBLE_EQ(res.cells[0].clients[i].energy_mj,
                      plain.clients[i].energy_mj);
   }
+#if PP_OBS_ENABLED
+  ASSERT_NE(res.digest, 0u);
+  EXPECT_EQ(res.digest, fnv1a_u64(kFnvOffset, run_digest(mc.cell)));
+#endif
+}
+
+// Cross traffic divides by the cell's client count and re-arms every
+// period, so a fleet that would crash or never finish an epoch is refused
+// at construction.
+TEST(MultiCell, RejectsEmptyCellsWithCrossTraffic) {
+  MultiCellConfig mc = small_fleet();
+  mc.cell.roles.clear();
+  EXPECT_THROW(MultiCellTestbed{mc}, std::invalid_argument);
+}
+
+TEST(MultiCell, RejectsNonPositiveCrossPeriod) {
+  MultiCellConfig mc = small_fleet();
+  mc.cross.period = Time::zero();
+  EXPECT_THROW(MultiCellTestbed{mc}, std::invalid_argument);
+  mc.cross.period = Time::ms(-150);
+  EXPECT_THROW(MultiCellTestbed{mc}, std::invalid_argument);
 }
 
 TEST(MultiCell, SixteenBitClientAddressing) {
@@ -184,7 +206,7 @@ TEST(MultiCell, SixteenBitClientAddressing) {
 TEST(MultiCell, PerClientObsOffStillYieldsClientResults) {
   MultiCellConfig mc = small_fleet();
   mc.cell.per_client_obs = false;
-  const MultiCellResult res = run_multicell(mc, 1);
+  const MultiCellResult res = MultiCellTestbed{mc}.run(1);
 #if PP_OBS_ENABLED
   ASSERT_NE(res.digest, 0u);
 #endif

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 
 #include "exp/builder.hpp"
 #include "exp/parallel.hpp"
 #include "exp/replicate.hpp"
+#include "exp/sweep/sweep.hpp"
 
 namespace pp::exp {
 namespace {
@@ -95,13 +100,41 @@ TEST(ReplicateStats, EmptyAndSingleton) {
   EXPECT_DOUBLE_EQ(s.ci95(), 0.0);
 }
 
+// Seed replication is one sweep item per seed, summarized in seed order.
+std::vector<sweep::Item> seed_items(const ScenarioConfig& cfg, int replicas,
+                                    std::uint64_t base_seed) {
+  std::vector<sweep::Item> items;
+  for (int r = 0; r < replicas; ++r) {
+    ScenarioConfig c = cfg;
+    c.seed = base_seed + static_cast<std::uint64_t>(r);
+    items.push_back({"seed" + std::to_string(c.seed), c});
+  }
+  return items;
+}
+
+template <class Metric>
+ReplicateStats summarize(const sweep::SweepResult& res, Metric metric) {
+  std::vector<double> xs;
+  for (const auto& o : res.outcomes) xs.push_back(metric(o.record));
+  return summarize_samples(xs);
+}
+
+double saved(const sweep::RunRecord& r) { return summarize_all(r.clients).avg; }
+
+sweep::Options no_cache() {
+  sweep::Options o;
+  o.use_cache = false;
+  return o;
+}
+
 TEST(Replicate, RunsSeedsAndSummarizes) {
   const auto cfg = ScenarioBuilder{}
                        .video(2, 0)
                        .policy(IntervalPolicy::Fixed500)
                        .duration_s(30.0)
                        .build();
-  const auto s = replicate_saved(cfg, 3, /*base_seed=*/50);
+  const auto s = summarize(
+      sweep::run(seed_items(cfg, 3, /*base_seed=*/50), no_cache()), saved);
   EXPECT_EQ(s.n, 3);
   EXPECT_GT(s.mean, 50.0);
   EXPECT_LT(s.mean, 90.0);
@@ -109,14 +142,26 @@ TEST(Replicate, RunsSeedsAndSummarizes) {
   EXPECT_GE(s.max, s.mean);
 }
 
+// A cold and a warm run of the same seeds agree bit-exactly, and the warm
+// run is pure cache hits.
 TEST(Replicate, DeterministicGivenBaseSeed) {
   const auto cfg = ScenarioBuilder{}
                        .video(1, 0)
                        .policy(IntervalPolicy::Fixed500)
                        .duration_s(20.0)
                        .build();
-  const auto a = replicate_saved(cfg, 2, 7);
-  const auto b = replicate_saved(cfg, 2, 7);
+  const auto items = seed_items(cfg, 2, 7);
+  sweep::Options opts;
+  opts.cache_dir = ::testing::TempDir() + "pp_replicate_test." +
+                   std::to_string(::getpid());
+  std::filesystem::remove_all(opts.cache_dir);
+  const auto cold = sweep::run(items, opts);
+  const auto warm = sweep::run(items, opts);
+  std::filesystem::remove_all(opts.cache_dir);
+  EXPECT_EQ(cold.stats.hits, 0u);
+  EXPECT_EQ(warm.stats.hits, items.size());
+  const auto a = summarize(cold, saved);
+  const auto b = summarize(warm, saved);
   EXPECT_DOUBLE_EQ(a.mean, b.mean);
   EXPECT_DOUBLE_EQ(a.stddev, b.stddev);
 }
@@ -127,12 +172,11 @@ TEST(Replicate, CustomMetric) {
                        .policy(IntervalPolicy::Fixed500)
                        .duration_s(20.0)
                        .build();
-  const auto s = replicate(
-      cfg, 2,
-      [](const ScenarioResult& r) {
+  const auto s = summarize(
+      sweep::run(seed_items(cfg, 2, 7), no_cache()),
+      [](const sweep::RunRecord& r) {
         return static_cast<double>(r.proxy_stats.schedules_sent);
-      },
-      7);
+      });
   // 20 s at 500 ms intervals starting at 0.5 s -> 40 schedules.
   EXPECT_NEAR(s.mean, 40.0, 1.0);
 }
