@@ -18,7 +18,7 @@ PowerDaemon::PowerDaemon(sim::Simulator& sim, net::Ipv4Addr self,
       cur_grace_{cfg.schedule_grace} {}
 
 PowerDaemon::~PowerDaemon() {
-  wake_timer_.cancel();
+  cancel_wake();
   grace_timer_.cancel();
   slot_timer_.cancel();
   resleep_timer_.cancel();
@@ -43,8 +43,19 @@ void PowerDaemon::stop() {
   set_wnic(false);
 }
 
-void PowerDaemon::reset() {
+void PowerDaemon::cancel_wake() {
   wake_timer_.cancel();
+  srp_wake_.cancel();
+}
+
+void PowerDaemon::arm_grace(sim::Time deadline) {
+  grace_timer_ = sim_.join(deadline, [](void* d) {
+    static_cast<PowerDaemon*>(d)->on_schedule_grace_expired();
+  }, this);
+}
+
+void PowerDaemon::reset() {
+  cancel_wake();
   grace_timer_.cancel();
   slot_timer_.cancel();
   resleep_timer_.cancel();
@@ -174,7 +185,7 @@ void PowerDaemon::plan_next_step() {
 }
 
 void PowerDaemon::sleep_until(sim::Time t, State next, std::size_t entry_idx) {
-  wake_timer_.cancel();
+  cancel_wake();
   const sim::Time now = sim_.now();
   if (t < now) t = now;
   planned_wake_ = t;
@@ -193,6 +204,12 @@ void PowerDaemon::sleep_until(sim::Time t, State next, std::size_t entry_idx) {
     state_ = State::Sleeping;
     ++stats_.sleeps;
   }
+  if (next == State::AwaitingSchedule) {
+    srp_wake_ = sim_.join(t, [](void* d) {
+      static_cast<PowerDaemon*>(d)->begin_wait(State::AwaitingSchedule, 0);
+    }, this);
+    return;
+  }
   wake_timer_ =
       sim_.at(t, [this, next, entry_idx] { begin_wait(next, entry_idx); });
 }
@@ -209,8 +226,7 @@ void PowerDaemon::begin_wait(State next, std::size_t entry_idx) {
     // We woke `early` before the expected arrival; the grace window runs
     // from that expected arrival.
     const sim::Time expected = sim_.now() + cfg_.comp.early;
-    grace_timer_ = sim_.at(expected + cur_grace_,
-                           [this] { on_schedule_grace_expired(); });
+    arm_grace(expected + cur_grace_);
     return;
   }
   if (next == State::AwaitingBurst && cfg_.sleep_at_slot_end &&
@@ -329,8 +345,7 @@ void PowerDaemon::on_schedule_grace_expired() {
       static_cast<std::uint64_t>(cfg_.escalation.awake_misses)) {
     // Early in the outage: stay awake (our burst may still arrive) and
     // re-arm the grace timer on the next expected SRP.
-    grace_timer_ = sim_.at(next_expected + cur_grace_,
-                           [this] { on_schedule_grace_expired(); });
+    arm_grace(next_expected + cur_grace_);
     return;
   }
   // Deep outage: burning a whole interval awake buys nothing — settle the
@@ -372,7 +387,8 @@ void PowerDaemon::extend_hold(sim::Time base) {
 void PowerDaemon::maybe_resleep() {
   if (sim_.now() < hold_until_) return;  // a later hold supersedes this one
   if (!awake_ || state_ == State::Receiving) return;
-  if (!wake_timer_.pending()) return;  // no planned wake; stay up
+  if (!wake_timer_.pending() && !srp_wake_.pending())
+    return;  // no planned wake; stay up
   if (planned_wake_ <= sim_.now()) return;
   sleep_until(planned_wake_, planned_next_, planned_entry_);
 }

@@ -152,6 +152,8 @@ class PowerDaemon {
                       sim::Time arrival);
   void plan_next_step();
   void sleep_until(sim::Time t, State next, std::size_t entry_idx);
+  void cancel_wake();
+  void arm_grace(sim::Time deadline);
   void begin_wait(State next, std::size_t entry_idx);
   void end_burst(bool via_mark);
   void on_schedule_grace_expired();
@@ -176,8 +178,12 @@ class PowerDaemon {
   std::shared_ptr<const proxy::ScheduleMessage> pending_;
   sim::Time pending_arrival_;
 
+  // The SRP wake and the schedule-grace deadline are shared with every
+  // client that heard the same broadcast (Simulator::join); the RP and
+  // hold-deferred wakes are the daemon's own.
   sim::EventHandle wake_timer_;
-  sim::EventHandle grace_timer_;
+  sim::JoinHandle srp_wake_;
+  sim::JoinHandle grace_timer_;
   sim::EventHandle slot_timer_;
   sim::EventHandle resleep_timer_;  // resume sleeping when a hold expires
 

@@ -13,6 +13,9 @@ std::uint32_t EventQueue::acquire_slot() {
     return slot;
   }
   slots_.emplace_back();
+  // Every slot can end up on the free list at once (a drain after the
+  // peak); size it with the slab so releasing never reallocates.
+  free_.reserve(slots_.capacity());
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 

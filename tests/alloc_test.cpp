@@ -119,6 +119,37 @@ TEST(Alloc, SimulatorSteadyStateIsAllocationFree) {
     }
   };
   sim.after(Time::us(50), Tick{sim, fired, PacketSized{}});
+  // Shared-instant group churn alongside, in the shape of idle clients:
+  // a cohort wakes together and each member arms a shared grace deadline;
+  // the next broadcast cancels the deadlines and re-joins the next wake.
+  struct Member {
+    sim::Simulator* sim;
+    sim::JoinHandle wake;
+    sim::JoinHandle grace;
+    int wakes = 0;
+
+    static void on_wake(void* m) {
+      auto* self = static_cast<Member*>(m);
+      ++self->wakes;
+      self->grace = self->sim->join(self->sim->now() + Time::us(40),
+                                    [](void*) {}, self);
+    }
+  };
+  struct Broadcast {
+    sim::Simulator& sim;
+    Member* cohort;
+    int left;
+    void operator()() {
+      for (Member* m = cohort; m != cohort + 16; ++m) {
+        m->grace.cancel();
+        m->wake = sim.join(sim.now() + Time::us(80), &Member::on_wake, m);
+      }
+      if (--left > 0) sim.after(Time::us(100), Broadcast{sim, cohort, left});
+    }
+  };
+  Member cohort[16];
+  for (Member& m : cohort) m.sim = &sim;
+  sim.at(Time::us(20), Broadcast{sim, cohort, kTicks / 2});
   // Warmup: run the first handful of ticks, then measure the rest.
   sim.run_until(Time::us(50) * 10);
   const std::uint64_t before = g_allocs;
@@ -126,6 +157,7 @@ TEST(Alloc, SimulatorSteadyStateIsAllocationFree) {
   EXPECT_EQ(g_allocs - before, 0u)
       << "steady-state simulator ticking hit the heap";
   EXPECT_EQ(fired, kTicks);
+  for (const Member& m : cohort) EXPECT_EQ(m.wakes, kTicks / 2);
 }
 
 }  // namespace

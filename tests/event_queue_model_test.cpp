@@ -2,16 +2,20 @@
 // schedule/cancel/pop/reschedule sequences checked against a reference
 // std::multimap ordered by (time, insertion-seq) — the contract the
 // engine's determinism rests on — plus handle-generation safety (a stale
-// handle must never observe or cancel a recycled slot).
+// handle must never observe or cancel a recycled slot).  The Simulator's
+// shared-instant timer groups are checked the same way, against a
+// reference run in which every join is an ordinary push.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace pp::sim {
@@ -223,6 +227,181 @@ TEST(EventQueueModel, StatsCount) {
   EXPECT_EQ(q.stats().scheduled, 2u);
   EXPECT_EQ(q.stats().cancelled, 1u);
   EXPECT_EQ(q.stats().fired, 1u);
+}
+
+// Drives one Simulator through a seeded script of at/cancel/join/leave
+// operations over a few distinct instants, so that instants collide.  Some
+// operations (ordinary pushes, joins, cancels and stop()) are issued from
+// inside firing callbacks.  With `grouped` false every join is an ordinary
+// at(): the reference the groups must reproduce.  Both runs draw the same
+// random numbers exactly as long as they fire in the same order, so the
+// logs they write must match entry for entry.
+struct GroupFuzzer {
+  GroupFuzzer(std::uint64_t seed, bool grouped) : rng{seed}, grouped{grouped} {}
+
+  struct Timer {
+    EventHandle event;
+    JoinHandle join;
+  };
+  struct Subscription {
+    GroupFuzzer* fuzzer;
+    int id;
+  };
+
+  Time pick_when() { return sim.now() + Time::ms(rng.next_u64() % 3); }
+
+  void schedule() {
+    if (timers.size() >= kMaxTimers) return;
+    const int id = static_cast<int>(timers.size());
+    const Time when = pick_when();
+    Timer t;
+    if (rng.next_u64() % 3 == 0) {
+      t.event = sim.at(when, [this, id] { on_fire(id); });
+    } else if (grouped) {
+      subs.push_back({this, id});
+      t.join = sim.join(when, [](void* s) {
+        auto* sub = static_cast<Subscription*>(s);
+        sub->fuzzer->on_fire(sub->id);
+      }, &subs.back());
+    } else {
+      t.event = sim.at(when, [this, id] { on_fire(id); });
+    }
+    timers.push_back(t);
+  }
+
+  // Cancel (or leave) a uniformly chosen timer: live, fired or cancelled.
+  void cancel_one() {
+    if (timers.empty()) return;
+    const std::size_t i = rng.next_u64() % timers.size();
+    log.push_back(-1 - static_cast<int>(i));
+    log.push_back(pending(timers[i]));
+    timers[i].event.cancel();
+    timers[i].join.cancel();
+  }
+
+  void on_fire(int id) {
+    log.push_back(id);
+    // A callback's own handle is no longer pending.
+    log.push_back(pending(timers[static_cast<std::size_t>(id)]));
+    const std::uint64_t op = rng.next_u64() % 8;
+    if (op < 3) {
+      schedule();
+      schedule();
+    } else if (op < 5) {
+      cancel_one();
+    } else if (op == 5) {
+      sim.stop();
+    }
+  }
+
+  void run_script(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const std::uint64_t op = rng.next_u64() % 6;
+      if (op < 2) {
+        schedule();
+      } else if (op < 3) {
+        cancel_one();
+      } else {
+        sim.run_until(sim.now() + Time::ms(rng.next_u64() % 3));
+      }
+      log.push_back(static_cast<int>(sim.now().count_ns() / 1000));
+    }
+    sim.run();
+    log.push_back(static_cast<int>(sim.now().count_ns() / 1000));
+    // stop() may have cut the drain short; finish it.
+    while (any_pending()) sim.run();
+  }
+
+  static int pending(const Timer& t) {
+    return t.event.pending() || t.join.pending() ? 1 : 0;
+  }
+  bool any_pending() const {
+    for (const Timer& t : timers)
+      if (pending(t)) return true;
+    return false;
+  }
+
+  static constexpr std::size_t kMaxTimers = 3000;
+
+  Simulator sim;
+  Rng rng;
+  bool grouped;
+  std::vector<Timer> timers;
+  std::deque<Subscription> subs;  // stable addresses for join's obj
+  std::vector<int> log;
+};
+
+TEST(TimerGroupModel, RandomizedJoinsMatchOrdinaryPushes) {
+  for (std::uint64_t seed : {5u, 71u, 919u, 6007u, 88001u}) {
+    GroupFuzzer grouped{seed, true};
+    GroupFuzzer reference{seed, false};
+    grouped.run_script(3000);
+    reference.run_script(3000);
+    ASSERT_EQ(grouped.log, reference.log) << "seed " << seed;
+    EXPECT_EQ(grouped.sim.events_fired(), reference.sim.events_fired());
+    EXPECT_EQ(grouped.sim.now(), reference.sim.now());
+    // The groups really shared queue events.
+    EXPECT_LT(grouped.sim.queue_stats().fired,
+              reference.sim.queue_stats().fired);
+  }
+}
+
+TEST(TimerGroupModel, SameInstantSubscribersFireInJoinOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  struct Sub {
+    std::vector<int>* order;
+    int id;
+  } subs[3] = {{&order, 0}, {&order, 1}, {&order, 2}};
+  auto fire = [](void* s) {
+    auto* sub = static_cast<Sub*>(s);
+    sub->order->push_back(sub->id);
+  };
+  sim.join(Time::ms(1), fire, &subs[0]);
+  sim.join(Time::ms(1), fire, &subs[1]);
+  // An ordinary event for the same instant lands between the joins.
+  sim.at(Time::ms(1), [&] { order.push_back(9); });
+  sim.join(Time::ms(1), fire, &subs[2]);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 9, 2}));
+  EXPECT_EQ(sim.events_fired(), 4u);
+  EXPECT_EQ(sim.queue_stats().fired, 3u);  // two groups and the at()
+}
+
+TEST(TimerGroupModel, StopInsideGroupResumesWithTheRest) {
+  Simulator sim;
+  int fired = 0;
+  auto fire = [](void* s) {
+    auto* sim_and_count = static_cast<std::pair<Simulator*, int*>*>(s);
+    if (++*sim_and_count->second == 1) sim_and_count->first->stop();
+  };
+  std::pair<Simulator*, int*> ctx{&sim, &fired};
+  for (int i = 0; i < 4; ++i) sim.join(Time::ms(2), fire, &ctx);
+  sim.run_until(Time::ms(5));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), Time::ms(2));
+  sim.run_until(Time::ms(1));  // the rest is due at 2 ms: nothing runs
+  EXPECT_EQ(fired, 1);
+  sim.run_until(Time::ms(5));
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(sim.now(), Time::ms(5));
+}
+
+TEST(TimerGroupModel, LastLeaverRemovesTheInstant) {
+  Simulator sim;
+  auto never = [](void*) { ADD_FAILURE() << "cancelled subscriber fired"; };
+  JoinHandle a = sim.join(Time::ms(3), never, nullptr);
+  JoinHandle b = sim.join(Time::ms(3), never, nullptr);
+  EXPECT_TRUE(a.pending());
+  a.cancel();
+  EXPECT_FALSE(a.pending());
+  EXPECT_TRUE(b.pending());
+  b.cancel();
+  b.cancel();  // idempotent
+  sim.run();
+  // As with cancelled events, the clock never reached the empty instant.
+  EXPECT_EQ(sim.now(), Time::zero());
+  EXPECT_EQ(sim.events_fired(), 0u);
 }
 
 }  // namespace

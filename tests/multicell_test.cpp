@@ -4,6 +4,7 @@
 // traffic between cells.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -219,6 +220,66 @@ TEST(MultiCell, PerClientObsOffStillYieldsClientResults) {
     }
   }
 }
+
+// An idle-heavy fleet whose results are pinned: three cells of 300
+// clients (four video, four web, the rest idle) with cross traffic, the
+// shape of the perfbench fleet in miniature.  Idle clients that heard the
+// same broadcast share their wake instants, so this pins the outcome of
+// the shared-instant timer path against the per-client timers it stands
+// in for.
+MultiCellConfig idle_fleet(bool per_client_obs) {
+  MultiCellConfig mc;
+  mc.num_cells = 3;
+  mc.cell.roles.assign(300, kRoleIdle);
+  for (int i = 0; i < 4; ++i) mc.cell.roles[i] = 1;
+  for (int i = 4; i < 8; ++i) mc.cell.roles[i] = kRoleWeb;
+  mc.cell.policy = IntervalPolicy::Fixed500;
+  mc.cell.seed = 7;
+  mc.cell.duration_s = 8.0;
+  mc.cell.video_start_s = 1.0;
+  mc.cell.video_spacing_s = 0.25;
+  mc.cell.web_pages = 2;
+  mc.cell.per_client_obs = per_client_obs;
+  mc.backbone_latency = Time::ms(20);
+  mc.cross.period = Time::ms(100);
+  mc.cross.bytes = 600;
+  mc.cross.fanout = 4;
+  return mc;
+}
+
+// FNV-1a fold of every client's energy bits and daemon counters, cell by
+// cell.
+std::uint64_t client_outcome_hash(const MultiCellResult& res) {
+  std::uint64_t h = kFnvOffset;
+  for (const ScenarioResult& cell : res.cells) {
+    for (const ClientResult& c : cell.clients) {
+      h = fnv1a_u64(h, std::bit_cast<std::uint64_t>(c.energy_mj));
+      h = fnv1a_u64(h, std::bit_cast<std::uint64_t>(c.naive_mj));
+      h = fnv1a_u64(h, c.schedules_received);
+      h = fnv1a_u64(h, c.schedules_missed);
+      h = fnv1a_u64(h, c.sleeps);
+      h = fnv1a_u64(h, c.packets_missed);
+      h = fnv1a_u64(h, c.resyncs);
+    }
+  }
+  return h;
+}
+
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+TEST(MultiCell, PinnedIdleFleetOutcomes) {
+  ScopedHashSalt s{1};
+  const MultiCellResult on = MultiCellTestbed{idle_fleet(true)}.run(1);
+  const MultiCellResult off = MultiCellTestbed{idle_fleet(false)}.run(1);
+  EXPECT_EQ(client_outcome_hash(on), 0xfc03170913618cd6ull);
+  EXPECT_EQ(client_outcome_hash(off), 0xfc03170913618cd6ull);
+  EXPECT_EQ(on.events_total, 30203u);
+  EXPECT_EQ(off.events_total, 30203u);
+#if PP_OBS_ENABLED
+  EXPECT_EQ(on.digest, 0x6a95e25ea593a6beull);
+  EXPECT_EQ(off.digest, 0xba28e5f26f23f05full);
+#endif
+}
+#endif  // __GLIBCXX__ && __x86_64__
 
 }  // namespace
 }  // namespace pp::exp
