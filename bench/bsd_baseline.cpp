@@ -11,6 +11,7 @@
 // The hand-built BSD half runs directly (it is not a ScenarioConfig); the
 // proxy rows go through the sweep engine and its cache.
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/battery.hpp"
@@ -41,10 +42,11 @@ Run run_bsd(int clients, int role, double duration_s) {
                            sim::Time::ms(500))};
   bed.access_point().enable_psm(sim::Time::ms(100));
 
+  energy::EnergyLedger ledger;  // outlives the stations
   std::vector<std::unique_ptr<client::BsdClient>> stations;
   for (int i = 0; i < clients; ++i) {
     stations.push_back(std::make_unique<client::BsdClient>(
-        bed.sim(), bed.medium(), exp::testbed_client_ip(i),
+        bed.sim(), bed.medium(), ledger, exp::testbed_client_ip(i),
         "bsd" + std::to_string(i)));
     bed.access_point().register_psm_station(stations[i]->ip());
   }
@@ -71,6 +73,10 @@ Run run_bsd(int clients, int role, double duration_s) {
   bed.start(sim::Time::ms(500));
   const sim::Time horizon = sim::Time::seconds(duration_s);
   bed.run_until(horizon);
+  for (auto& st : stations) {
+    const std::string component = "energy.accountant." + st->node().name();
+    st->accountant().audit(horizon, component.c_str());
+  }
 
   Run out;
   for (auto& st : stations) {

@@ -10,6 +10,7 @@
 // sweep engine (and its cache) like every other battery.
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/battery.hpp"
@@ -37,10 +38,11 @@ PsmRun run_psm(int clients, int fidelity, double duration_s) {
                            sim::Time::ms(500))};
   bed.access_point().enable_psm(sim::Time::ms(100));
 
+  energy::EnergyLedger ledger;  // outlives the stations
   std::vector<std::unique_ptr<client::PsmClient>> stations;
   for (int i = 0; i < clients; ++i) {
     stations.push_back(std::make_unique<client::PsmClient>(
-        bed.sim(), bed.medium(), exp::testbed_client_ip(i),
+        bed.sim(), bed.medium(), ledger, exp::testbed_client_ip(i),
         "psm" + std::to_string(i)));
     bed.access_point().register_psm_station(stations[i]->ip());
   }
@@ -57,6 +59,10 @@ PsmRun run_psm(int clients, int fidelity, double duration_s) {
   bed.start(sim::Time::ms(500));
   const sim::Time horizon = sim::Time::seconds(duration_s);
   bed.run_until(horizon);
+  for (auto& st : stations) {
+    const std::string component = "energy.accountant." + st->node().name();
+    st->accountant().audit(horizon, component.c_str());
+  }
 
   PsmRun out;
   out.min_saved = 100.0;

@@ -10,11 +10,11 @@
 namespace pp::client {
 
 PowerDaemon::PowerDaemon(sim::Simulator& sim, net::Ipv4Addr self,
-                         DaemonConfig cfg, WnicFn wnic)
+                         DaemonConfig cfg, energy::EnergyAccountant& wnic)
     : sim_{sim},
       self_{self},
       cfg_{cfg},
-      wnic_{std::move(wnic)},
+      wnic_{wnic},
       cur_grace_{cfg.schedule_grace} {}
 
 PowerDaemon::~PowerDaemon() {
@@ -27,7 +27,13 @@ PowerDaemon::~PowerDaemon() {
 void PowerDaemon::set_wnic(bool awake) {
   if (awake_ == awake) return;
   awake_ = awake;
-  if (wnic_) wnic_(awake);
+  wnic_.set_mode(sim_.now(),
+                 awake ? energy::WnicMode::Idle : energy::WnicMode::Sleep);
+  PP_OBS(if (twg_awake_) twg_awake_->set(sim_.now(), awake ? 1.0 : 0.0);
+         if (auto* tl = obs_.timeline())
+             tl->record(sim_.now(),
+                        awake ? obs::EventKind::Wake : obs::EventKind::Sleep,
+                        self_.raw()));
 }
 
 void PowerDaemon::start() {
@@ -75,10 +81,11 @@ void PowerDaemon::reset() {
   blind_coasts_ = 0;
 }
 
-void PowerDaemon::set_obs(obs::Hook hook, std::uint32_t subject) {
+void PowerDaemon::set_obs(obs::Hook hook) {
   (void)hook;
-  (void)subject;
-  PP_OBS(obs_ = hook; obs_subject_ = subject; if (auto* m = obs_.metrics()) {
+  PP_OBS(obs_ = hook; if (auto* m = obs_.metrics()) {
+    twg_awake_ = m->time_gauge("client." + self_.str() + ".awake");
+    twg_awake_->set(sim_.now(), awake_ ? 1.0 : 0.0);
     ctr_sched_missed_ = m->counter("client.schedules_missed");
     ctr_resyncs_ = m->counter("client.resyncs");
     hist_outage_us_ = m->histogram("client.outage_us");
@@ -98,7 +105,7 @@ void PowerDaemon::note_resync() {
          if (hist_outage_us_) hist_outage_us_->observe(static_cast<
              std::uint64_t>((sim_.now() - first_miss_at_).count_us()));
          if (auto* tl = obs_.timeline())
-             tl->record(sim_.now(), obs::EventKind::Resync, obs_subject_,
+             tl->record(sim_.now(), obs::EventKind::Resync, self_.raw(),
                         consecutive_misses_));
   consecutive_misses_ = 0;
   cur_grace_ = cfg_.schedule_grace;
@@ -315,7 +322,7 @@ void PowerDaemon::on_schedule_grace_expired() {
   PP_OBS(if (ctr_sched_missed_) ctr_sched_missed_->inc();
          if (auto* tl = obs_.timeline())
              tl->record(sim_.now(), obs::EventKind::ScheduleMissed,
-                        obs_subject_));
+                        self_.raw()));
   // The early portion of the wait was ordinary early-transition waste; the
   // rest accrues as missed-schedule waste until a schedule shows up.
   if (waiting_first_) {

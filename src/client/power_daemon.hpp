@@ -19,15 +19,16 @@
 // The daemon is deliberately decoupled from the live network client: it is
 // driven by on_schedule()/on_data() events plus simulator timers, so the
 // identical policy code runs inside the live client *and* inside the
-// trace-driven postmortem analyzer.
+// trace-driven postmortem analyzer.  Each sleep/wake writes the client's
+// row of the energy ledger directly (Idle or Sleep).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "client/delay_comp.hpp"
+#include "energy/wnic.hpp"
 #include "net/packet.hpp"
 #include "obs/hooks.hpp"
 #include "proxy/schedule.hpp"
@@ -102,10 +103,9 @@ struct DaemonStats {
 
 class PowerDaemon {
  public:
-  using WnicFn = std::function<void(bool awake)>;
-
+  // `wnic` is the client's energy row; it must outlive the daemon.
   PowerDaemon(sim::Simulator& sim, net::Ipv4Addr self, DaemonConfig cfg,
-              WnicFn wnic);
+              energy::EnergyAccountant& wnic);
   ~PowerDaemon();
 
   PowerDaemon(const PowerDaemon&) = delete;
@@ -137,8 +137,10 @@ class PowerDaemon {
   bool awake() const { return awake_; }
   const DaemonStats& stats() const { return stats_; }
 
-  // Publish missed-schedule events keyed to `subject` (the client's IP).
-  void set_obs(obs::Hook hook, std::uint32_t subject);
+  // Publish the "client.<ip>.awake" duty-cycle gauge, sleep/wake and
+  // missed-schedule timeline events keyed to the client's IP, and the
+  // miss/resync counters.
+  void set_obs(obs::Hook hook);
 
  private:
   enum class State : std::uint8_t {
@@ -167,7 +169,7 @@ class PowerDaemon {
   sim::Simulator& sim_;
   net::Ipv4Addr self_;
   DaemonConfig cfg_;
-  WnicFn wnic_;
+  energy::EnergyAccountant& wnic_;
 
   State state_ = State::AwaitingSchedule;
   bool awake_ = true;
@@ -207,7 +209,7 @@ class PowerDaemon {
   int blind_coasts_ = 0;  // consecutive estimate-only re-anchors
 
   obs::Hook obs_;
-  std::uint32_t obs_subject_ = 0;
+  obs::TimeWeightedGauge* twg_awake_ = nullptr;
   obs::Counter* ctr_sched_missed_ = nullptr;
   obs::Counter* ctr_resyncs_ = nullptr;
   obs::Histogram* hist_outage_us_ = nullptr;

@@ -101,9 +101,9 @@ class EnergyLedger {
 // transition; totals are exact (piecewise-constant integration).
 //
 // This is a row handle into an EnergyLedger: the Testbed owns one fleet
-// ledger per run (flat SoA state, cheap to scale), and a standalone client
-// or tool declares its own one-row ledger.  The ledger must outlive the
-// handle.
+// ledger per run (flat SoA state, cheap to scale); hand-built stations and
+// tools such as the postmortem replay use a ledger of their own.  The
+// ledger must outlive the handle.
 class EnergyAccountant {
  public:
   EnergyAccountant(EnergyLedger& ledger, sim::Time start,
@@ -160,6 +160,14 @@ class EnergyAccountant {
   EnergyLedger* ledger_;
   std::uint32_t row_;
 };
+
+// What a naive client, its WNIC idle throughout, spends over `total`:
+// idle power for the whole span, plus the receive and transmit surcharges
+// for the airtime of every frame addressed to it (`receive_airtime`, heard
+// or not) and every frame it sent.  The denominator of the paper's saving.
+double naive_energy_mj(const WnicPowerModel& model, sim::Duration total,
+                       sim::Duration receive_airtime,
+                       sim::Duration transmit_airtime);
 
 // The paper's closed-form optimal energy saving (Section 4.3):
 //

@@ -118,7 +118,6 @@ Testbed::Testbed(TestbedParams params,
 
   // Clients.  Energy state lives in the shared fleet ledger (one SoA row
   // per client) instead of per-object accountants.
-  energy_ledger_ = energy::EnergyLedger{params_.client.power};
   energy_ledger_.reserve(params_.num_clients);
   clients_.reserve(params_.num_clients);
   for (int i = 0; i < params_.num_clients; ++i) {
@@ -196,6 +195,9 @@ void Testbed::publish_sim_metrics() {
   m->counter("sim.events.stale_pruned")->inc(qs.stale_pruned);
   m->counter("sim.events.slab_slots")
       ->inc(static_cast<std::uint64_t>(sim_.queue_slab_slots()));
+  // Callbacks run: heap events plus every shared-instant group member, so
+  // on an idle fleet this exceeds sim.events.fired.
+  m->counter("sim.callbacks.fired")->inc(sim_.events_fired());
 #endif
 }
 

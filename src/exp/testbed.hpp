@@ -139,8 +139,9 @@ class Testbed {
   std::unique_ptr<channel::ChannelModel> channel_;
   std::shared_ptr<obs::Observer> observer_;
   std::unique_ptr<check::Auditor> auditor_;
-  // Fleet-wide flat energy state; every client's accountant is a row
-  // handle into this ledger.  Must outlive clients_ (declared before it).
+  // Fleet-wide flat energy state under the default WaveLAN power model;
+  // every client's accountant is a row handle into this ledger.  Must
+  // outlive clients_ (declared before it).
   energy::EnergyLedger energy_ledger_;
   std::vector<std::unique_ptr<client::EnergyAwareClient>> clients_;
   std::vector<std::unique_ptr<net::Node>> servers_;

@@ -22,14 +22,20 @@ struct BsdFixture : ::testing::Test {
         tp,
         std::make_unique<proxy::FixedIntervalScheduler>(Time::ms(500)));
     bed->access_point().enable_psm(Time::ms(100));
-    station = std::make_unique<BsdClient>(bed->sim(), bed->medium(),
+    station = std::make_unique<BsdClient>(bed->sim(), bed->medium(), ledger,
                                           exp::testbed_client_ip(0), "bsd0");
     bed->access_point().register_psm_station(station->ip());
     server = &bed->add_server("srv");
     sock = std::make_unique<transport::UdpSocket>(*server, 7000);
   }
 
+  // Energy conservation over whatever span the test ran.
+  void TearDown() override {
+    station->accountant().audit(bed->sim().now(), "energy.accountant.bsd0");
+  }
+
   std::unique_ptr<exp::Testbed> bed;
+  energy::EnergyLedger ledger;  // outlives the station
   std::unique_ptr<BsdClient> station;
   net::Node* server = nullptr;
   std::unique_ptr<transport::UdpSocket> sock;

@@ -257,7 +257,8 @@ TEST(ApChurn, DisassociateFlushesParkedPsmFrames) {
                    std::make_unique<proxy::FixedIntervalScheduler>(
                        Time::ms(500))};
   bed.access_point().enable_psm(Time::ms(100));
-  client::PsmClient station{bed.sim(), bed.medium(),
+  energy::EnergyLedger ledger;
+  client::PsmClient station{bed.sim(), bed.medium(), ledger,
                             exp::testbed_client_ip(0), "psm0"};
   bed.access_point().register_psm_station(station.ip());
   net::Node& server = bed.add_server("srv");

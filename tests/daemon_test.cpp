@@ -5,6 +5,7 @@
 
 #include "client/delay_comp.hpp"
 #include "client/power_daemon.hpp"
+#include "energy/wnic.hpp"
 #include "sim/simulator.hpp"
 
 namespace pp::client {
@@ -38,10 +39,7 @@ net::Packet data_pkt(bool marked, std::uint32_t payload = 1000) {
 }
 
 struct Harness {
-  explicit Harness(DaemonConfig cfg = {})
-      : daemon{sim, kSelf, cfg, [this](bool awake) {
-                 transitions.emplace_back(sim.now(), awake);
-               }} {
+  explicit Harness(DaemonConfig cfg = {}) : daemon{sim, kSelf, cfg, acc} {
     daemon.start();
   }
   // Deliver a schedule at absolute time t (only if the daemon is awake,
@@ -62,17 +60,15 @@ struct Harness {
       }
     });
   }
-  bool awake_during(sim::Time t) const {
-    bool awake = true;  // starts awake
-    for (const auto& [when, a] : transitions) {
-      if (when > t) break;
-      awake = a;
-    }
-    return awake;
+  // Run every event up to and including `t`, then sample the radio.
+  bool awake_at(sim::Time t) {
+    sim.run_until(t);
+    return daemon.awake();
   }
 
   sim::Simulator sim;
-  std::vector<std::pair<sim::Time, bool>> transitions;
+  energy::EnergyLedger ledger;
+  energy::EnergyAccountant acc{ledger, Time::zero()};
   int delivered = 0;
   int missed = 0;
   PowerDaemon daemon;
@@ -97,10 +93,9 @@ TEST(PowerDaemon, AdaptiveWakeAnchorsOnArrival) {
   Harness h;
   // Schedule reaches the client 3 ms late (AP delay).
   h.schedule_at(Time::ms(503), schedule(Time::ms(500), Time::ms(500), {}));
-  h.sim.run();
   // Expected next arrival 1003 ms; wake at 997 ms (early = 6 ms).
-  EXPECT_FALSE(h.awake_during(Time::ms(996)));
-  EXPECT_TRUE(h.awake_during(Time::ms(998)));
+  EXPECT_FALSE(h.awake_at(Time::ms(996)));
+  EXPECT_TRUE(h.awake_at(Time::ms(998)));
 }
 
 TEST(PowerDaemon, WakesForOwnBurstAndSleepsOnMark) {
@@ -128,9 +123,8 @@ TEST(PowerDaemon, OtherClientsEntriesIgnored) {
       Time::ms(500),
       schedule(Time::ms(500), Time::ms(500),
                {{kOther, Time::ms(100), Time::ms(50), proxy::SlotKind::Any}}));
-  h.sim.run_until(Time::ms(700));
-  EXPECT_FALSE(h.daemon.awake());  // no reason to wake at kOther's RP
-  EXPECT_FALSE(h.awake_during(Time::ms(600)));
+  EXPECT_FALSE(h.awake_at(Time::ms(600)));  // no reason to wake at kOther's RP
+  EXPECT_FALSE(h.awake_at(Time::ms(700)));
 }
 
 TEST(PowerDaemon, MissedScheduleKeepsClientAwake) {
@@ -221,11 +215,11 @@ TEST(PowerDaemon, ReuseFlagSkipsScheduleWake) {
   // Bursts with marks at each RP (550, 650, 750...).
   for (int k = 0; k < 5; ++k)
     h.data_at(Time::ms(552 + 100 * k), true);
-  h.sim.run_until(Time::ms(1000));
-  EXPECT_EQ(h.delivered, 5);
   // Without reuse the daemon would wake at 594 for the 600 ms schedule;
   // with reuse it sleeps straight through to the 644 wake for RP at 650.
-  EXPECT_FALSE(h.awake_during(Time::ms(620)));
+  EXPECT_FALSE(h.awake_at(Time::ms(620)));
+  h.sim.run_until(Time::ms(1000));
+  EXPECT_EQ(h.delivered, 5);
   EXPECT_EQ(h.daemon.stats().schedules_received, 1u);
 }
 
@@ -339,10 +333,10 @@ TEST_P(EarlySweep, WakeTimeShiftsWithEarlyAmount) {
   Harness h{cfg};
   h.schedule_at(Time::ms(500), schedule(Time::ms(500), Time::ms(500), {}));
   h.sim.run();
-  // Find the wake transition for the 1000 ms schedule.
-  sim::Time wake;
-  for (const auto& [when, awake] : h.transitions)
-    if (awake && when > Time::ms(600)) wake = when;
+  // One sleep, from the 500 ms schedule to the wake for the 1000 ms one
+  // (which never comes, so the radio stays up afterwards).
+  EXPECT_EQ(h.acc.wake_transitions(), 1u);
+  const sim::Time wake = Time::ms(500) + h.acc.time_in(energy::WnicMode::Sleep);
   EXPECT_EQ(wake, Time::ms(1000 - GetParam()));
 }
 
@@ -360,13 +354,13 @@ TEST(PowerDaemon, RepeatedScheduleCopyIsDeduped) {
   // Deliver the k-repeat copy directly: the radio may well be awake for it
   // (first-slot clients are), and the state machine must shrug it off.
   h.sim.at(Time::ms(503), [&, copy] { h.daemon.on_schedule(copy); });
+  // The duplicate did not wake or re-anchor anything: next wake is still
+  // ~994 ms for the 1000 ms arrival.
+  EXPECT_FALSE(h.awake_at(Time::ms(992)));
+  EXPECT_TRUE(h.awake_at(Time::ms(995)));
   h.sim.run_until(Time::ms(996));
   EXPECT_EQ(h.daemon.stats().schedules_received, 1u);
   EXPECT_EQ(h.daemon.stats().repeats_deduped, 1u);
-  // The duplicate did not wake or re-anchor anything: next wake is still
-  // ~994 ms for the 1000 ms arrival.
-  EXPECT_FALSE(h.awake_during(Time::ms(992)));
-  EXPECT_TRUE(h.awake_during(Time::ms(995)));
 }
 
 TEST(PowerDaemon, RepeatCopyAnchorsOnOriginalArrivalTime) {
@@ -377,11 +371,10 @@ TEST(PowerDaemon, RepeatCopyAnchorsOnOriginalArrivalTime) {
   auto copy = schedule(Time::ms(500), Time::ms(500), {});
   copy->repeat_offset = Time::ms(3);
   h.schedule_at(Time::ms(503), copy);
-  h.sim.run();
   // Anchor 500 ms -> next arrival expected 1000 ms -> wake at 994 ms.
   // (Without the offset it would anchor at 503 and wake at 997.)
-  EXPECT_FALSE(h.awake_during(Time::ms(992)));
-  EXPECT_TRUE(h.awake_during(Time::ms(995)));
+  EXPECT_FALSE(h.awake_at(Time::ms(992)));
+  EXPECT_TRUE(h.awake_at(Time::ms(995)));
 }
 
 TEST(PowerDaemon, EscalationBacksOffAndSleepsThroughDeepOutage) {
@@ -432,13 +425,12 @@ TEST(PowerDaemon, EscalationBacksOffAndSleepsThroughDeepOutage) {
 TEST(PowerDaemon, EscalationDisabledStaysAwakeAllOutage) {
   Harness h;  // escalation off by default (paper behavior)
   h.schedule_at(Time::ms(500), schedule(Time::ms(500), Time::ms(500), {}));
-  h.sim.run_until(Time::ms(2900));
   // One counted miss, then awake for the whole outage.
+  EXPECT_TRUE(h.awake_at(Time::ms(1800)));
+  EXPECT_TRUE(h.awake_at(Time::ms(2600)));
+  EXPECT_TRUE(h.awake_at(Time::ms(2900)));
   EXPECT_EQ(h.daemon.stats().schedules_missed, 1u);
   EXPECT_EQ(h.daemon.stats().escalated_sleeps, 0u);
-  EXPECT_TRUE(h.daemon.awake());
-  EXPECT_TRUE(h.awake_during(Time::ms(1800)));
-  EXPECT_TRUE(h.awake_during(Time::ms(2600)));
 }
 
 TEST(PowerDaemon, CoastBoundForcesReanchorAfterRepeatedBlindCoasts) {
@@ -461,20 +453,19 @@ TEST(PowerDaemon, CoastBoundForcesReanchorAfterRepeatedBlindCoasts) {
     h.data_at(Time::ms(1000 * 1 + 500 * (i - 1) + 105), true);
   }
   h.schedule_at(Time::ms(2500), schedule(Time::ms(2500), Time::ms(500), {}));
-  h.sim.run_until(Time::ms(2600));
   // Coasts #1 and #2 slept between mark and the next estimated SRP...
-  EXPECT_FALSE(h.awake_during(Time::ms(1300)));
-  EXPECT_FALSE(h.awake_during(Time::ms(1800)));
+  EXPECT_FALSE(h.awake_at(Time::ms(1300)));
+  EXPECT_FALSE(h.awake_at(Time::ms(1800)));
   // ...but the third mark hit the coast bound: awake until the 2500
   // broadcast instead of blindly sleeping on the suspect anchor.
-  EXPECT_TRUE(h.awake_during(Time::ms(2200)));
-  EXPECT_TRUE(h.awake_during(Time::ms(2450)));
+  EXPECT_TRUE(h.awake_at(Time::ms(2200)));
+  EXPECT_TRUE(h.awake_at(Time::ms(2450)));
+  h.sim.run_until(Time::ms(2600));
   EXPECT_EQ(h.daemon.stats().coast_breaks, 1u);
   EXPECT_EQ(h.daemon.stats().schedules_missed, 3u);
   EXPECT_EQ(h.daemon.stats().schedules_received, 2u);
   EXPECT_EQ(h.delivered, 8);  // every burst was caught, coasting or not
-  h.sim.run_until(Time::ms(2900));
-  EXPECT_FALSE(h.awake_during(Time::ms(2800)));  // re-anchored, sleeping
+  EXPECT_FALSE(h.awake_at(Time::ms(2800)));  // re-anchored, sleeping
 }
 
 TEST(PowerDaemon, ResyncRecordsOutageDepth) {

@@ -16,6 +16,18 @@ TEST(WnicPowerModel, WavelanNumbersMatchPaper) {
   EXPECT_EQ(m.wake_transition, Time::ms(2));
 }
 
+TEST(NaiveEnergy, MatchesWavelanClosedForm) {
+  // 10 s idle, with 1 s of frames addressed to the client and 0.5 s of
+  // its own transmissions: 1319*10 + (1425-1319)*1 + (1675-1319)*0.5.
+  const double mj = naive_energy_mj(WnicPowerModel::wavelan(), Time::sec(10),
+                                    Time::sec(1), Time::ms(500));
+  EXPECT_DOUBLE_EQ(mj, 13190.0 + 106.0 + 178.0);
+  // No traffic: idle power over the whole span.
+  EXPECT_DOUBLE_EQ(naive_energy_mj(WnicPowerModel::wavelan(), Time::sec(4),
+                                   Time::zero(), Time::zero()),
+                   1319.0 * 4);
+}
+
 TEST(EnergyAccountant, IdleOnlyIntegration) {
   EnergyLedger ledger{WnicPowerModel::wavelan()};
   EnergyAccountant acc{ledger, Time::zero()};

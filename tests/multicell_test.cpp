@@ -281,5 +281,20 @@ TEST(MultiCell, PinnedIdleFleetOutcomes) {
 }
 #endif  // __GLIBCXX__ && __x86_64__
 
+#if PP_OBS_ENABLED
+TEST(MultiCell, IdleFleetRunsMoreCallbacksThanHeapEvents) {
+  // Idle clients that heard one broadcast share one heap event per wake
+  // instant, so the callbacks run (every group member counts) outnumber
+  // the heap events fired.
+  const MultiCellResult res = MultiCellTestbed{idle_fleet(false)}.run(1);
+  const obs::Counter* callbacks = res.merged.find_counter("sim.callbacks.fired");
+  const obs::Counter* events = res.merged.find_counter("sim.events.fired");
+  ASSERT_NE(callbacks, nullptr);
+  ASSERT_NE(events, nullptr);
+  EXPECT_GT(events->value(), 0u);
+  EXPECT_GT(callbacks->value(), events->value());
+}
+#endif  // PP_OBS_ENABLED
+
 }  // namespace
 }  // namespace pp::exp
