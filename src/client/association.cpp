@@ -22,14 +22,13 @@ sim::Rng assoc_stream(std::uint64_t run_seed, net::Ipv4Addr self) {
 }
 
 AssociationAgent::AssociationAgent(sim::Simulator& sim, net::Ipv4Addr self,
-                                   AssocParams params, SendFn send,
+                                   std::uint64_t run_seed, SendFn send,
                                    std::function<void()> on_down)
     : sim_{sim},
       self_{self},
-      params_{params},
       send_{std::move(send)},
       on_down_{std::move(on_down)},
-      rng_{assoc_stream(params.run_seed, self)} {}
+      rng_{assoc_stream(run_seed, self)} {}
 
 AssociationAgent::~AssociationAgent() { timer_.cancel(); }
 
@@ -42,13 +41,13 @@ void AssociationAgent::set_obs(obs::Hook hook) {
 
 sim::Duration AssociationAgent::backoff(int attempt) {
   double mult = 1.0;
-  for (int i = 0; i < attempt; ++i) mult *= params_.backoff_base;
-  double ns = static_cast<double>(params_.retry_timeout.count_ns()) * mult;
-  const double cap = static_cast<double>(params_.backoff_cap.count_ns());
+  for (int i = 0; i < attempt; ++i) mult *= kBackoffBase;
+  double ns = static_cast<double>(kRetryTimeout.count_ns()) * mult;
+  const double cap = static_cast<double>(kBackoffCap.count_ns());
   if (ns > cap) ns = cap;
   // Deterministic jitter from the named stream desynchronizes clients that
   // start a handshake at the same instant (churn storms).
-  const double j = 1.0 + params_.jitter_frac * (2.0 * rng_.uniform() - 1.0);
+  const double j = 1.0 + kJitterFrac * (2.0 * rng_.uniform() - 1.0);
   return sim::Time::ns(static_cast<std::int64_t>(ns * j));
 }
 
@@ -59,7 +58,7 @@ void AssociationAgent::send_control(proxy::AssocKind kind) {
   net::Packet pkt = net::make_packet();
   pkt.src = self_;
   pkt.src_port = proxy::kAssocPort;
-  pkt.dst = params_.proxy_ip;
+  pkt.dst = proxy::kProxyIp;
   pkt.dst_port = proxy::kAssocPort;
   pkt.proto = net::Protocol::Udp;
   pkt.payload = proxy::AssocMessage::kWireBytes;
@@ -111,7 +110,7 @@ void AssociationAgent::send_leave() {
   }
   send_control(proxy::AssocKind::Leave);
   timer_ = sim_.after(backoff(attempt_), [this] {
-    if (attempt_ >= params_.max_leave_retries) {
+    if (attempt_ >= kMaxLeaveRetries) {
       // The proxy's drain deadline bounds its side; ours is bounded here.
       // Going dark unacked is safe: the proxy eventually drops the queue.
       ++stats_.leave_abandons;
@@ -141,7 +140,7 @@ void AssociationAgent::on_packet(const proxy::AssocMessage& msg) {
       // heard.  The renegotiated schedule normally lands within an
       // interval; if every copy is lost, fall back to a fresh Join (the
       // proxy re-acks and renegotiates again).
-      timer_ = sim_.after(params_.srp_acquire_timeout, [this] {
+      timer_ = sim_.after(kSrpAcquireTimeout, [this] {
         ++stats_.srp_reacquires;
         state_ = State::Associating;
         ++ctrl_seq_;

@@ -42,17 +42,6 @@ struct AssocParams {
   // Seed for the backoff-jitter stream; the testbed sets this to the run
   // seed so churn timing replays bit-identically.
   std::uint64_t run_seed = 1;
-  net::Ipv4Addr proxy_ip = net::Ipv4Addr::octets(10, 0, 0, 254);
-  // Base retransmission timeout for Join/Leave; attempt k waits
-  // retry_timeout * backoff_base^k (capped) +/- jitter_frac of itself.
-  sim::Duration retry_timeout = sim::Time::ms(120);
-  double backoff_base = 2.0;
-  sim::Duration backoff_cap = sim::Time::ms(2000);
-  double jitter_frac = 0.25;
-  // JoinAck in hand but no schedule heard yet: re-join after this long.
-  sim::Duration srp_acquire_timeout = sim::Time::ms(1500);
-  // Leave retransmissions before giving up and going dark unacked.
-  int max_leave_retries = 3;
 };
 
 struct AssocStats {
@@ -76,13 +65,27 @@ class AssociationAgent {
     Draining,      // Leave sent, awaiting LeaveAck
   };
 
+  // Base retransmission timeout for Join/Leave; attempt k waits
+  // kRetryTimeout * kBackoffBase^k (capped at kBackoffCap) +/- kJitterFrac
+  // of itself.
+  static constexpr sim::Duration kRetryTimeout = sim::Time::ms(120);
+  static constexpr double kBackoffBase = 2.0;
+  static constexpr sim::Duration kBackoffCap = sim::Time::ms(2000);
+  static constexpr double kJitterFrac = 0.25;
+  // JoinAck in hand but no schedule heard yet: re-join after this long.
+  static constexpr sim::Duration kSrpAcquireTimeout = sim::Time::ms(1500);
+  // Leave retransmissions before giving up and going dark unacked.
+  static constexpr int kMaxLeaveRetries = 3;
+
   // pp-lint: allow(hot-path-alloc): constructed once per client at wiring
   using SendFn = std::function<void(net::Packet)>;
 
-  // `send` transmits a control packet uplink; `on_down` fires when the
-  // client has left the cell for good (LeaveAck received or leave retries
-  // exhausted) so the owner can power the radio off.
-  AssociationAgent(sim::Simulator& sim, net::Ipv4Addr self, AssocParams params,
+  // `run_seed` seeds the backoff-jitter stream (see assoc_stream).  `send`
+  // transmits a control packet uplink; `on_down` fires when the client has
+  // left the cell for good (LeaveAck received or leave retries exhausted)
+  // so the owner can power the radio off.
+  AssociationAgent(sim::Simulator& sim, net::Ipv4Addr self,
+                   std::uint64_t run_seed,
                    SendFn send, std::function<void()> on_down);
   ~AssociationAgent();
 
@@ -124,7 +127,6 @@ class AssociationAgent {
 
   sim::Simulator& sim_;
   net::Ipv4Addr self_;
-  AssocParams params_;
   SendFn send_;
   std::function<void()> on_down_;
   sim::Rng rng_;

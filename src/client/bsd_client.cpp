@@ -7,9 +7,8 @@ namespace pp::client {
 
 BsdClient::BsdClient(sim::Simulator& sim, net::WirelessMedium& medium,
                      energy::EnergyLedger& ledger, net::Ipv4Addr ip,
-                     std::string name, BsdParams params)
-    : MobileStation{sim, medium, ledger, ip, std::move(name)},
-      params_{params} {
+                     std::string name)
+    : MobileStation{sim, medium, ledger, ip, std::move(name)} {
   node_.set_transmitter([this](net::Packet pkt) {
     const bool request_like =
         pkt.proto == net::Protocol::Tcp &&
@@ -28,7 +27,7 @@ void BsdClient::wake() {
 void BsdClient::enter_awake_window() {
   // Fresh request: listen continuously; reset the skip ladder.
   skip_ = 1;
-  window_until_ = sim_.now() + params_.awake_window;
+  window_until_ = sim_.now() + kAwakeWindow;
   wake();
   wake_timer_.cancel();
   window_timer_.cancel();
@@ -41,10 +40,10 @@ void BsdClient::enter_awake_window() {
 void BsdClient::doze_for_skip() {
   wake_timer_.cancel();
   const sim::Time t = last_beacon_arrival_ +
-                      beacon_interval_ * skip_ - params_.early;
+                      beacon_interval_ * skip_ - kEarly;
   const sim::Time now = sim_.now();
   const sim::Time target = std::max(t, now);
-  if (target - now > params_.min_sleep) {
+  if (target - now > kMinSleep) {
     awake_ = false;
     acc_.set_mode(now, energy::WnicMode::Sleep);
   }
@@ -61,7 +60,7 @@ void BsdClient::on_beacon(const net::BeaconMessage& b) {
   if (sim_.now() < window_until_) return;  // inside the awake window
   // Nothing for us: grow the skip ladder (bounding the added latency) and
   // doze until the k-th next beacon.
-  skip_ = std::min(skip_ * 2, params_.max_beacon_skip);
+  skip_ = std::min(skip_ * 2, kMaxBeaconSkip);
   doze_for_skip();
 }
 

@@ -9,10 +9,10 @@
 // paper's point is that this suits request/response web traffic but not
 // long-lived multimedia streams, where packets keep arriving forever.
 //
-// Model: awake_window after each request-like uplink; afterwards the
-// client wakes only for every k-th beacon, with k growing by `growth`
-// (capped so the slowdown stays bounded) until traffic arrives, which
-// resets the ladder.
+// Model: kAwakeWindow after each request-like uplink; afterwards the
+// client wakes only for every k-th beacon, with k doubling (capped at
+// kMaxBeaconSkip so the slowdown stays bounded) until traffic arrives,
+// which resets the ladder.
 #pragma once
 
 #include <cstdint>
@@ -26,22 +26,21 @@
 
 namespace pp::client {
 
-struct BsdParams {
-  // Listen continuously this long after a request (the "1/p RTT" base
-  // window: responses inside it see no slowdown at all).
-  sim::Duration awake_window = sim::Time::ms(300);
-  // Beacon skip ladder: wake every k-th beacon, k doubling up to the cap.
-  int max_beacon_skip = 8;
-  sim::Duration early = sim::Time::ms(2);
-  sim::Duration min_sleep = sim::Time::ms(4);
-};
-
 class BsdClient : public MobileStation {
  public:
+  // Listen continuously this long after a request (the "1/p RTT" base
+  // window: responses inside it see no slowdown at all).
+  static constexpr sim::Duration kAwakeWindow = sim::Time::ms(300);
+  // Beacon skip ladder: wake every k-th beacon, k doubling up to the cap.
+  static constexpr int kMaxBeaconSkip = 8;
+  // Wake this long before the target beacon.
+  static constexpr sim::Duration kEarly = sim::Time::ms(2);
+  // Gaps shorter than this are not worth the wake transition penalty.
+  static constexpr sim::Duration kMinSleep = sim::Time::ms(4);
+
   // The station's energy row lives in `ledger`, which must outlive it.
   BsdClient(sim::Simulator& sim, net::WirelessMedium& medium,
-            energy::EnergyLedger& ledger, net::Ipv4Addr ip, std::string name,
-            BsdParams params = {});
+            energy::EnergyLedger& ledger, net::Ipv4Addr ip, std::string name);
 
   int current_beacon_skip() const { return skip_; }
 
@@ -55,7 +54,6 @@ class BsdClient : public MobileStation {
   void doze_for_skip();
   void wake();
 
-  BsdParams params_;
   bool awake_ = true;
   bool draining_ = false;
   int skip_ = 1;  // wake every skip-th beacon

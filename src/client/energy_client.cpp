@@ -10,7 +10,7 @@ EnergyAwareClient::EnergyAwareClient(sim::Simulator& sim,
                                      net::Ipv4Addr ip, std::string name,
                                      ClientParams params)
     : MobileStation{sim, medium, ledger, ip, std::move(name)},
-      params_{params},
+      naive_{params.naive},
       daemon_{sim, ip, params.daemon, acc_} {
   node_.set_transmitter([this](net::Packet pkt) {
     // Uplink requires the radio on; app-initiated sends wake it and extend
@@ -20,16 +20,16 @@ EnergyAwareClient::EnergyAwareClient(sim::Simulator& sim,
     const bool request_like =
         pkt.proto == net::Protocol::Tcp &&
         (pkt.tcp.syn || pkt.tcp.fin || pkt.payload > 0);
-    if (!params_.naive && request_like) daemon_.force_awake();
+    if (!naive_ && request_like) daemon_.force_awake();
     transmit(std::move(pkt));
     // The channel may be busy for a while before the frame even airs;
     // measure the response hold from when it clears.
-    if (!params_.naive && request_like)
+    if (!naive_ && request_like)
       daemon_.extend_hold(this->medium().busy_until());
   });
-  if (params_.assoc.enabled) {
+  if (params.assoc.enabled) {
     assoc_ = std::make_unique<AssociationAgent>(
-        sim_, ip, params_.assoc,
+        sim_, ip, params.assoc.run_seed,
         [this](net::Packet pkt) {
           // Control frames ride the raw medium path: the energy and airtime
           // accounting comes through on_air like any other uplink frame.
@@ -38,14 +38,14 @@ EnergyAwareClient::EnergyAwareClient(sim::Simulator& sim,
         [this] {
           // Departed for good: radio off (naive baselines stay listening —
           // they never sleep by definition).
-          if (!params_.naive) daemon_.stop();
+          if (!naive_) daemon_.stop();
         });
   }
 }
 
 void EnergyAwareClient::start() {
   if (assoc_) assoc_->start_associated();
-  if (!params_.naive) daemon_.start();
+  if (!naive_) daemon_.start();
 }
 
 void EnergyAwareClient::set_away(bool away) {
@@ -56,7 +56,7 @@ void EnergyAwareClient::set_away(bool away) {
     // Radio up first: the JoinAck and the renegotiated schedule must be
     // heard.  The daemon resets to AwaitingSchedule, so it stays awake
     // until the fresh broadcast anchors it.
-    if (!params_.naive) daemon_.start();
+    if (!naive_) daemon_.start();
     assoc_->join();
   }
 }
@@ -70,7 +70,7 @@ bool EnergyAwareClient::listening() const {
   // An in-flight association handshake pins the radio up even where the
   // daemon would sleep: the acks it is waiting for arrive outside any
   // scheduled slot.
-  return params_.naive || daemon_.awake() || (assoc_ && assoc_->needs_radio());
+  return naive_ || daemon_.awake() || (assoc_ && assoc_->needs_radio());
 }
 
 void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
@@ -97,7 +97,7 @@ void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
     // Control plane: charged for energy (airtime above) but not counted as
     // received traffic.
     if (assoc_) assoc_->note_schedule();
-    if (params_.naive) return;
+    if (naive_) return;
     if (auto msg =
             std::dynamic_pointer_cast<const proxy::ScheduleMessage>(pkt.data)) {
       daemon_.on_schedule(std::move(msg));
@@ -120,7 +120,7 @@ void EnergyAwareClient::deliver(net::Packet pkt, sim::Duration airtime) {
   const std::uint32_t payload = pkt.payload;
   const bool marked = pkt.marked;
   node_.handle_packet(std::move(pkt));
-  if (!params_.naive) daemon_.on_data(payload, marked);
+  if (!naive_) daemon_.on_data(payload, marked);
 }
 
 }  // namespace pp::client

@@ -61,7 +61,7 @@ class EnergyAwareClient : public MobileStation {
   void deliver(net::Packet pkt, sim::Duration airtime) override;
 
  private:
-  ClientParams params_;
+  bool naive_;
   PowerDaemon daemon_;
   std::unique_ptr<AssociationAgent> assoc_;
 };

@@ -15,7 +15,7 @@ PowerDaemon::PowerDaemon(sim::Simulator& sim, net::Ipv4Addr self,
       self_{self},
       cfg_{cfg},
       wnic_{wnic},
-      cur_grace_{cfg.schedule_grace} {}
+      cur_grace_{kScheduleGrace} {}
 
 PowerDaemon::~PowerDaemon() {
   cancel_wake();
@@ -77,7 +77,7 @@ void PowerDaemon::reset() {
   hold_until_ = sim::Time{};
   miss_active_ = false;
   consecutive_misses_ = 0;
-  cur_grace_ = cfg_.schedule_grace;
+  cur_grace_ = kScheduleGrace;
   blind_coasts_ = 0;
 }
 
@@ -108,7 +108,7 @@ void PowerDaemon::note_resync() {
              tl->record(sim_.now(), obs::EventKind::Resync, self_.raw(),
                         consecutive_misses_));
   consecutive_misses_ = 0;
-  cur_grace_ = cfg_.schedule_grace;
+  cur_grace_ = kScheduleGrace;
 }
 
 void PowerDaemon::on_schedule(
@@ -206,7 +206,7 @@ void PowerDaemon::sleep_until(sim::Time t, State next, std::size_t entry_idx) {
     });
     return;
   }
-  if (t - now > cfg_.min_sleep && now >= hold_until_) {
+  if (t - now > kMinSleep && now >= hold_until_) {
     set_wnic(false);
     state_ = State::Sleeping;
     ++stats_.sleeps;
@@ -243,7 +243,7 @@ void PowerDaemon::begin_wait(State next, std::size_t entry_idx) {
     // A late wake (sleep_until clamps the wake to `now`) can land past the
     // slot's end; fire the slot-end handler immediately rather than
     // scheduling into the past.
-    sim::Time fire = slot_end + cfg_.slot_end_grace;
+    sim::Time fire = slot_end + kSlotEndGrace;
     if (fire < sim_.now()) fire = sim_.now();
     slot_timer_ = sim_.at(fire, [this] { on_slot_end(); });
   }
@@ -287,7 +287,7 @@ void PowerDaemon::end_burst(bool via_mark) {
     // We missed the schedule that announced this burst but caught the data
     // anyway.  Sleep until the *next* schedule, estimating its SRP one
     // interval past the one we missed (Section 4.3, worst-case discussion).
-    if (blind_coasts_ >= cfg_.max_blind_coasts) {
+    if (blind_coasts_ >= kMaxBlindCoasts) {
       // The streak of estimate-only re-anchors is long enough that the
       // anchor itself is suspect — keep the outage open and stay awake
       // until a real broadcast re-anchors us.
@@ -346,10 +346,9 @@ void PowerDaemon::on_schedule_grace_expired() {
   const sim::Time expected = sim_.now() - cur_grace_;
   const sim::Time next_expected = expected + cur_->interval;
   const sim::Duration widened =
-      sim::Time::seconds(cur_grace_.to_seconds() * cfg_.escalation.backoff);
-  cur_grace_ = std::min(widened, cfg_.escalation.max_grace);
-  if (consecutive_misses_ <=
-      static_cast<std::uint64_t>(cfg_.escalation.awake_misses)) {
+      sim::Time::seconds(cur_grace_.to_seconds() * kGraceBackoff);
+  cur_grace_ = std::min(widened, kMaxGrace);
+  if (consecutive_misses_ <= kAwakeMisses) {
     // Early in the outage: stay awake (our burst may still arrive) and
     // re-arm the grace timer on the next expected SRP.
     arm_grace(next_expected + cur_grace_);
@@ -369,7 +368,7 @@ void PowerDaemon::on_slot_end() {
 }
 
 void PowerDaemon::force_awake() {
-  hold_until_ = sim_.now() + cfg_.activity_hold;
+  hold_until_ = sim_.now() + kActivityHold;
   // When the hold expires, resume the planned sleep if nothing changed.
   resleep_timer_.cancel();
   resleep_timer_ = sim_.at(hold_until_, [this] { maybe_resleep(); });
@@ -384,7 +383,7 @@ void PowerDaemon::force_awake() {
 
 void PowerDaemon::extend_hold(sim::Time base) {
   if (base < sim_.now()) base = sim_.now();
-  const sim::Time until = base + cfg_.activity_hold;
+  const sim::Time until = base + kActivityHold;
   if (until <= hold_until_) return;
   hold_until_ = until;
   resleep_timer_.cancel();

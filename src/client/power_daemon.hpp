@@ -38,43 +38,21 @@ namespace pp::client {
 
 struct DaemonConfig {
   DelayCompensation comp{};
-  // How long after the expected schedule arrival to wait before declaring
-  // the schedule missed.
-  sim::Duration schedule_grace = sim::Time::ms(30);
   // Fallback for slotted-static schedules whose slots may carry no data:
   // sleep when the slot ends even without a marked packet.
   bool sleep_at_slot_end = false;
-  sim::Duration slot_end_grace = sim::Time::ms(5);
-  // Gaps shorter than this are not worth the wake transition penalty.
-  sim::Duration min_sleep = sim::Time::ms(4);
   // Honor ScheduleMessage::reuse_next (skip the next schedule wake).
   bool honor_reuse = true;
-  // After app-initiated uplink activity (connection setup, requests), hold
-  // the radio awake this long so immediate responses — TCP handshake
-  // segments pass the proxy ungated — are not missed.  Data responses ride
-  // scheduled bursts, so only a couple of wired round trips are needed.
-  sim::Duration activity_hold = sim::Time::ms(50);
   // Missed-schedule escalation (graceful degradation under bursty loss).
   // Disabled by default, preserving the paper's worst-case behavior: stay
   // awake until the next SRP.  When enabled, each consecutive miss widens
-  // the grace window by `backoff` (capped at max_grace), and after
-  // `awake_misses` consecutive misses the daemon stops burning the whole
-  // interval awake and instead sleeps between SRP wake attempts.
+  // the grace window (see PowerDaemon::kGraceBackoff), and past
+  // PowerDaemon::kAwakeMisses consecutive misses the daemon stops burning
+  // the whole interval awake and instead sleeps between SRP wake attempts.
   struct MissEscalation {
     bool enabled = false;
-    int awake_misses = 1;    // misses tolerated before sleeping through
-    double backoff = 2.0;    // grace multiplier per consecutive miss
-    sim::Duration max_grace = sim::Time::ms(240);
   };
   MissEscalation escalation{};
-  // When a schedule is missed but its burst data arrives anyway, the daemon
-  // re-anchors by estimate alone (`anchor_ += interval`) and sleeps — a
-  // "blind coast".  A stale anchor (e.g. one poisoned by a queue-delayed
-  // schedule released after an AP stall) can make every coast wake late
-  // enough to sleep through the next broadcast *and* its k-repeat copies,
-  // coasting desynchronized forever.  After this many consecutive coasts
-  // without hearing a real broadcast, stay awake for one to re-anchor.
-  int max_blind_coasts = 2;
 };
 
 struct DaemonStats {
@@ -103,6 +81,34 @@ struct DaemonStats {
 
 class PowerDaemon {
  public:
+  // How long after the expected schedule arrival to wait before declaring
+  // the schedule missed.
+  static constexpr sim::Duration kScheduleGrace = sim::Time::ms(30);
+  // Slot-end fallback (DaemonConfig::sleep_at_slot_end): sleep this long
+  // after the slot's nominal end.
+  static constexpr sim::Duration kSlotEndGrace = sim::Time::ms(5);
+  // Gaps shorter than this are not worth the wake transition penalty.
+  static constexpr sim::Duration kMinSleep = sim::Time::ms(4);
+  // After app-initiated uplink activity (connection setup, requests), hold
+  // the radio awake this long so immediate responses — TCP handshake
+  // segments pass the proxy ungated — are not missed.  Data responses ride
+  // scheduled bursts, so only a couple of wired round trips are needed.
+  static constexpr sim::Duration kActivityHold = sim::Time::ms(50);
+  // Escalation (DaemonConfig::escalation): misses tolerated awake before
+  // sleeping through, the grace multiplier per consecutive miss, and the
+  // cap on the widened grace window.
+  static constexpr std::uint64_t kAwakeMisses = 1;
+  static constexpr double kGraceBackoff = 2.0;
+  static constexpr sim::Duration kMaxGrace = sim::Time::ms(240);
+  // When a schedule is missed but its burst data arrives anyway, the daemon
+  // re-anchors by estimate alone (`anchor_ += interval`) and sleeps — a
+  // "blind coast".  A stale anchor (e.g. one poisoned by a queue-delayed
+  // schedule released after an AP stall) can make every coast wake late
+  // enough to sleep through the next broadcast *and* its k-repeat copies,
+  // coasting desynchronized forever.  After this many consecutive coasts
+  // without hearing a real broadcast, stay awake for one to re-anchor.
+  static constexpr int kMaxBlindCoasts = 2;
+
   // `wnic` is the client's energy row; it must outlive the daemon.
   PowerDaemon(sim::Simulator& sim, net::Ipv4Addr self, DaemonConfig cfg,
               energy::EnergyAccountant& wnic);
@@ -129,12 +135,13 @@ class PowerDaemon {
   // The application initiated uplink activity: wake and stay awake until
   // the next schedule resynchronizes us.
   void force_awake();
-  // Push the activity hold out to `base` + activity_hold.  Called once the
+  // Push the activity hold out to `base` + kActivityHold.  Called once the
   // uplink frame actually clears the busy channel, so the response window
   // is measured from when the request could first be answered.
   void extend_hold(sim::Time base);
 
   bool awake() const { return awake_; }
+  const DaemonConfig& config() const { return cfg_; }
   const DaemonStats& stats() const { return stats_; }
 
   // Publish the "client.<ip>.awake" duty-cycle gauge, sleep/wake and

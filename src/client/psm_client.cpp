@@ -6,16 +6,15 @@ namespace pp::client {
 
 PsmClient::PsmClient(sim::Simulator& sim, net::WirelessMedium& medium,
                      energy::EnergyLedger& ledger, net::Ipv4Addr ip,
-                     std::string name, PsmParams params)
-    : MobileStation{sim, medium, ledger, ip, std::move(name)},
-      params_{params} {
+                     std::string name)
+    : MobileStation{sim, medium, ledger, ip, std::move(name)} {
   node_.set_transmitter([this](net::Packet pkt) {
     if (!awake_) wake();
-    hold_until_ = sim_.now() + params_.activity_hold;
+    hold_until_ = sim_.now() + kActivityHold;
     transmit(std::move(pkt));
     sim::Time base = this->medium().busy_until();
-    if (base + params_.activity_hold > hold_until_)
-      hold_until_ = base + params_.activity_hold;
+    if (base + kActivityHold > hold_until_)
+      hold_until_ = base + kActivityHold;
   });
 }
 
@@ -34,7 +33,7 @@ void PsmClient::doze_until(sim::Time t) {
                           [this, t] { doze_until(t); });
     return;
   }
-  if (t - now > params_.min_sleep) {
+  if (t - now > kMinSleep) {
     awake_ = false;
     acc_.set_mode(now, energy::WnicMode::Sleep);
   }
@@ -42,7 +41,7 @@ void PsmClient::doze_until(sim::Time t) {
     wake();
     // If the beacon never shows, stay awake until one does.
     grace_timer_.cancel();
-    grace_timer_ = sim_.at(sim_.now() + params_.early + params_.beacon_grace,
+    grace_timer_ = sim_.at(sim_.now() + kEarly + kBeaconGrace,
                            [this] { ++beacons_missed_; });
   });
 }
@@ -57,7 +56,7 @@ void PsmClient::on_beacon(const net::BeaconMessage& b) {
     return;
   }
   draining_ = false;
-  doze_until(last_beacon_arrival_ + beacon_interval_ - params_.early);
+  doze_until(last_beacon_arrival_ + beacon_interval_ - kEarly);
 }
 
 void PsmClient::deliver(net::Packet pkt, sim::Duration airtime) {
@@ -75,7 +74,7 @@ void PsmClient::deliver(net::Packet pkt, sim::Duration airtime) {
   node_.handle_packet(std::move(pkt));
   if (draining_ && marked) {
     draining_ = false;
-    doze_until(last_beacon_arrival_ + beacon_interval_ - params_.early);
+    doze_until(last_beacon_arrival_ + beacon_interval_ - kEarly);
   }
 }
 

@@ -19,19 +19,20 @@
 
 namespace pp::client {
 
-struct PsmParams {
-  sim::Duration early = sim::Time::ms(2);  // wake this long before a beacon
-  sim::Duration beacon_grace = sim::Time::ms(20);
-  sim::Duration min_sleep = sim::Time::ms(4);
-  sim::Duration activity_hold = sim::Time::ms(50);
-};
-
 class PsmClient : public MobileStation {
  public:
+  // Wake this long before each expected beacon.
+  static constexpr sim::Duration kEarly = sim::Time::ms(2);
+  // A beacon not heard this long after its expected arrival counts missed.
+  static constexpr sim::Duration kBeaconGrace = sim::Time::ms(20);
+  // Gaps shorter than this are not worth the wake transition penalty.
+  static constexpr sim::Duration kMinSleep = sim::Time::ms(4);
+  // Stay awake this long after an uplink frame clears the channel.
+  static constexpr sim::Duration kActivityHold = sim::Time::ms(50);
+
   // The station's energy row lives in `ledger`, which must outlive it.
   PsmClient(sim::Simulator& sim, net::WirelessMedium& medium,
-            energy::EnergyLedger& ledger, net::Ipv4Addr ip, std::string name,
-            PsmParams params = {});
+            energy::EnergyLedger& ledger, net::Ipv4Addr ip, std::string name);
 
   // Begin awake, waiting for the first beacon.
   void start() {}
@@ -48,7 +49,6 @@ class PsmClient : public MobileStation {
   void doze_until(sim::Time t);
   void wake();
 
-  PsmParams params_;
   bool awake_ = true;
   bool draining_ = false;  // TIM indicated us; awaiting the final frame
   sim::Time last_beacon_arrival_;

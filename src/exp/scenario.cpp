@@ -73,7 +73,7 @@ std::unique_ptr<proxy::Scheduler> make_scheduler(const ScenarioConfig& cfg) {
           sim::Time::ms(500));
     case IntervalPolicy::Opportunistic500:
       return std::make_unique<proxy::ChannelAwareOpportunisticScheduler>(
-          sim::Time::ms(500), 3);
+          sim::Time::ms(500));
     case IntervalPolicy::Probabilistic500:
       return std::make_unique<proxy::BufferAwareProbabilisticScheduler>(
           sim::Time::ms(500), cfg.seed);
@@ -87,6 +87,24 @@ std::unique_ptr<proxy::Scheduler> make_scheduler(const ScenarioConfig& cfg) {
 }
 
 }  // namespace
+
+client::DaemonConfig daemon_config(const ScenarioConfig& cfg) {
+  client::DaemonConfig dc;
+  dc.comp.mode = cfg.compensation;
+  dc.comp.early = cfg.early_transition;
+  // Worst case between consecutive broadcasts: previous one maximally
+  // jittered + spiked, next one not jittered at all.  Spikes only count
+  // when they can occur.
+  if (cfg.jitter_guard) {
+    const net::AccessPointParams ap = cfg.ap.value_or(net::AccessPointParams{});
+    dc.comp.jitter_bound =
+        ap.jitter_max + (ap.p_spike > 0 ? ap.spike_max : sim::Time::zero());
+  }
+  dc.sleep_at_slot_end = cfg.policy == IntervalPolicy::SlottedStatic500;
+  dc.honor_reuse = cfg.honor_reuse;
+  dc.escalation.enabled = cfg.miss_escalation;
+  return dc;
+}
 
 // Servers and per-client workload applications, owned for the lifetime of
 // the run.  Declaration order matters: apps hold sockets on server nodes
@@ -117,20 +135,8 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg,
     tp.wireless.p_loss = cfg.wireless_p_loss;
   }
   if (cfg.ap) tp.ap = *cfg.ap;
-  tp.client.daemon.comp.mode = cfg.compensation;
-  tp.client.daemon.comp.early = cfg.early_transition;
-  // Worst case between consecutive broadcasts: previous one maximally
-  // jittered + spiked, next one not jittered at all.  Spikes only count
-  // when they can occur.
-  if (cfg.jitter_guard)
-    tp.client.daemon.comp.jitter_bound =
-        tp.ap.jitter_max +
-        (tp.ap.p_spike > 0 ? tp.ap.spike_max : sim::Time::zero());
-  tp.client.daemon.sleep_at_slot_end =
-      cfg.policy == IntervalPolicy::SlottedStatic500;
-  tp.client.daemon.honor_reuse = cfg.honor_reuse;
+  tp.client.daemon = daemon_config(cfg);
   tp.client.naive = cfg.naive_clients;
-  tp.client.daemon.escalation.enabled = cfg.miss_escalation;
   tp.per_client_obs = cfg.per_client_obs;
   tp.proxy.mode = cfg.proxy_mode;
   tp.proxy.cost_model_scale = cfg.cost_model_scale;

@@ -107,6 +107,13 @@ struct ScenarioConfig {
   bool measured_goodput = false;
 };
 
+// The daemon configuration every live client of `cfg` runs: the
+// compensation mode and early amount, the jitter guard's bound (the AP's
+// jitter_max, plus spike_max when spikes can occur), the slot-end fallback
+// under SlottedStatic500, schedule reuse and miss escalation.  A postmortem
+// replay that should price the live policy replays with this config.
+client::DaemonConfig daemon_config(const ScenarioConfig& cfg);
+
 struct ClientResult {
   net::Ipv4Addr ip;
   int role = 0;

@@ -20,7 +20,7 @@ Testbed::Testbed(TestbedParams params,
                  std::unique_ptr<proxy::Scheduler> scheduler)
     : params_{params},
       sim_{params.seed},
-      lan_{sim_, params.lan},
+      lan_{sim_},  // 100 Mbps Fast Ethernet (net::WiredParams defaults)
       proxy_{std::make_unique<proxy::TransparentProxy>(
           sim_, std::move(scheduler), params.proxy)},
       medium_{sim_, params.wireless},
@@ -36,9 +36,9 @@ Testbed::Testbed(TestbedParams params,
     lan_.send(bridge_port_, std::move(pkt));
   });
 
-  // Proxy <-> AP point-to-point link.
+  // Proxy <-> AP point-to-point link, the same Fast Ethernet as the LAN.
   proxy_ap_link_ = std::make_unique<net::PointToPointLink>(
-      sim_, params_.proxy_ap, proxy_->wireless_sink(), ap_);
+      sim_, net::WiredParams{}, proxy_->wireless_sink(), ap_);
   proxy_->set_wireless_tx([this](net::Packet pkt) {
     proxy_ap_link_->send_a_to_b(std::move(pkt));
   });
@@ -72,7 +72,6 @@ Testbed::Testbed(TestbedParams params,
   if (churny) {
     params_.client.assoc.enabled = true;
     params_.client.assoc.run_seed = params_.seed;
-    params_.client.assoc.proxy_ip = params_.proxy.proxy_ip;
   }
 
   // Fault plan: wired to every faultable component; windows arm at start().

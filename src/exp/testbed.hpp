@@ -41,8 +41,6 @@ struct TestbedParams {
   // At most kMaxTestbedClients; the Testbed throws std::invalid_argument
   // beyond that.
   int num_clients = 10;
-  net::WiredParams lan{};          // 100 Mbps Fast Ethernet
-  net::WiredParams proxy_ap{};     // proxy <-> AP link
   net::WirelessParams wireless{};  // shared 11 Mbps medium
   net::AccessPointParams ap{};
   client::ClientParams client{};

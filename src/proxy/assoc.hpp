@@ -23,6 +23,11 @@ namespace pp::proxy {
 // Association control port (client <-> proxy, unicast UDP both ways).
 inline constexpr net::Port kAssocPort = 9010;
 
+// The proxy's own address: source of its schedule broadcasts, burst
+// markers and association acks, and destination of the clients' Join and
+// Leave requests.
+inline constexpr net::Ipv4Addr kProxyIp = net::Ipv4Addr::octets(10, 0, 0, 254);
+
 enum class AssocKind : std::uint8_t {
   Join = 1,  // client -> proxy: admit me to the schedule
   JoinAck,   // proxy -> client: admitted (schedule renegotiation follows)

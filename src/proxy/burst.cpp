@@ -21,7 +21,7 @@ void BurstSession::open() {
     return;
   }
   ++p.stats_.bursts_opened;
-  sim::Duration budget = entry_.duration - p.params_.slots.burst_guard;
+  sim::Duration budget = entry_.duration - kBurstGuard;
   if (budget < sim::Time::zero()) budget = sim::Time::zero();
   const double budget_s = budget.to_seconds();
   double spent_s = 0;
@@ -53,7 +53,7 @@ void BurstSession::open() {
   if (entry_.kind != SlotKind::UdpOnly && p.params_.mode == ProxyMode::Splice) {
     const sim::Duration remaining = sim::Time::seconds(budget_s - spent_s);
     std::uint64_t allowance = p.estimator_.payload_budget(
-        remaining, p.params_.slots.mtu, p.params_.slots.tcp_ack_bytes);
+        remaining, transport::kMss, kTcpAckBytes);
     const std::vector<Splice*>& splices = p.table_.splices(id);
     plans.reserve(splices.size());
     for (Splice* s : splices) {
@@ -72,7 +72,7 @@ void BurstSession::open() {
       for (auto& pl : plans) {
         if (pl.splice->buffered > 0) {
           pl.chunk = std::min<std::uint64_t>(pl.splice->buffered,
-                                             p.params_.slots.mtu);
+                                             transport::kMss);
           any_tcp = true;
           break;
         }
@@ -166,7 +166,7 @@ void BurstSession::close() {
 void BurstSession::emit_empty_marker() {
   TransparentProxy& p = proxy_;
   net::Packet pkt = net::make_packet();
-  pkt.src = p.params_.proxy_ip;
+  pkt.src = kProxyIp;
   pkt.src_port = kSchedulePort;
   pkt.dst = entry_.client;
   pkt.dst_port = kSchedulePort;

@@ -61,7 +61,7 @@ void LongestQueueFirstScheduler::set_obs(obs::Hook hook) {
 
 BuiltSchedule LongestQueueFirstScheduler::build(
     const std::vector<ClientDemand>& demands, const BandwidthEstimator& est) {
-  const sim::Duration available = interval_ - sp_.lead;
+  const sim::Duration available = interval_ - kSlotLead;
   // Deepest queue first; stable sort keeps SRP (registration) order on ties
   // so the layout stays deterministic.
   std::vector<const ClientDemand*> active;
@@ -82,17 +82,17 @@ BuiltSchedule LongestQueueFirstScheduler::build(
     const sim::Duration remaining = available - used;
     // A slot shorter than the burst guard carries no data: starve instead
     // of emitting a useless (or zero-length) entry.
-    if (remaining <= sp_.burst_guard) {
+    if (remaining <= kBurstGuard) {
       ++starved;
       continue;
     }
-    sim::Duration cost = widened_cost(*d, est, sp_);
+    sim::Duration cost = widened_cost(*d, est);
     if (cost > remaining) cost = remaining;  // partial tail slot
     slots.emplace_back(d->ip, cost);
     used += cost;
   }
   PP_OBS(if (ctr_starved_ && starved > 0) ctr_starved_->inc(starved));
-  return BuiltSchedule{interval_, false, lay_out(slots, sp_.lead)};
+  return BuiltSchedule{interval_, false, lay_out(slots, kSlotLead)};
 }
 
 // -- ChannelAwareOpportunisticScheduler --------------------------------------------
@@ -107,7 +107,7 @@ void ChannelAwareOpportunisticScheduler::set_obs(obs::Hook hook) {
 
 BuiltSchedule ChannelAwareOpportunisticScheduler::build(
     const std::vector<ClientDemand>& demands, const BandwidthEstimator& est) {
-  const sim::Duration available = interval_ - sp_.lead;
+  const sim::Duration available = interval_ - kSlotLead;
   std::vector<const ClientDemand*> served;
   served.reserve(demands.size());
   std::uint64_t deferrals = 0;
@@ -123,7 +123,7 @@ BuiltSchedule ChannelAwareOpportunisticScheduler::build(
     // Defer only while the oldest datagram can still make its deadline
     // after sitting out one more interval.
     const bool can_wait = d.deadline_slack > interval_;
-    if (bad && can_wait && skips < max_deferrals_) {
+    if (bad && can_wait && skips < kMaxDeferrals) {
       ++skips;
       ++deferrals;
       continue;
@@ -147,24 +147,20 @@ BuiltSchedule ChannelAwareOpportunisticScheduler::build(
   sim::Duration used = sim::Time::zero();
   for (const ClientDemand* d : served) {
     const sim::Duration remaining = available - used;
-    if (remaining <= sp_.burst_guard) break;  // tail starved this interval
-    sim::Duration cost = widened_cost(*d, est, sp_);
+    if (remaining <= kBurstGuard) break;  // tail starved this interval
+    sim::Duration cost = widened_cost(*d, est);
     if (cost > remaining) cost = remaining;
     slots.emplace_back(d->ip, cost);
     used += cost;
   }
-  return BuiltSchedule{interval_, false, lay_out(slots, sp_.lead)};
+  return BuiltSchedule{interval_, false, lay_out(slots, kSlotLead)};
 }
 
 // -- BufferAwareProbabilisticScheduler ---------------------------------------------
 
 BufferAwareProbabilisticScheduler::BufferAwareProbabilisticScheduler(
-    sim::Duration interval, std::uint64_t run_seed,
-    std::uint64_t threshold_bytes, SlotParams sp)
-    : interval_{interval},
-      threshold_bytes_{threshold_bytes},
-      sp_{sp},
-      rng_{policy_stream(run_seed)} {}
+    sim::Duration interval, std::uint64_t run_seed)
+    : interval_{interval}, rng_{policy_stream(run_seed)} {}
 
 void BufferAwareProbabilisticScheduler::set_obs(obs::Hook hook) {
   (void)hook;
@@ -176,7 +172,7 @@ void BufferAwareProbabilisticScheduler::set_obs(obs::Hook hook) {
 
 BuiltSchedule BufferAwareProbabilisticScheduler::build(
     const std::vector<ClientDemand>& demands, const BandwidthEstimator& est) {
-  const sim::Duration available = interval_ - sp_.lead;
+  const sim::Duration available = interval_ - kSlotLead;
   std::vector<const ClientDemand*> served;
   served.reserve(demands.size());
   std::uint64_t skips = 0;
@@ -184,7 +180,7 @@ BuiltSchedule BufferAwareProbabilisticScheduler::build(
   for (const ClientDemand& d : demands) {
     if (d.total() == 0) continue;
     const double q = static_cast<double>(d.total());
-    const double p = q / (q + static_cast<double>(threshold_bytes_));
+    const double p = q / (q + static_cast<double>(kThresholdBytes));
     // One admission draw per backlogged client per SRP, always consumed so
     // the stream position is a pure function of the demand snapshot.
     const bool admit = rng_.chance(p);
@@ -200,9 +196,9 @@ BuiltSchedule BufferAwareProbabilisticScheduler::build(
          if (ctr_forced_ && forced > 0) ctr_forced_->inc(forced));
   const auto slots =
       fit_proportional(served, available, [&](const ClientDemand& d) {
-        return widened_cost(d, est, sp_);
+        return widened_cost(d, est);
       });
-  return BuiltSchedule{interval_, false, lay_out(slots, sp_.lead)};
+  return BuiltSchedule{interval_, false, lay_out(slots, kSlotLead)};
 }
 
 }  // namespace pp::proxy

@@ -33,41 +33,33 @@ namespace pp::proxy {
 
 class LongestQueueFirstScheduler final : public Scheduler {
  public:
-  explicit LongestQueueFirstScheduler(sim::Duration interval,
-                                      SlotParams sp = {})
-      : interval_{interval}, sp_{sp} {}
+  explicit LongestQueueFirstScheduler(sim::Duration interval)
+      : interval_{interval} {}
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
   void set_obs(obs::Hook hook) override;
 
  private:
   sim::Duration interval_;
-  SlotParams sp_;
   obs::Counter* ctr_starved_ = nullptr;
 };
 
 class ChannelAwareOpportunisticScheduler final : public Scheduler {
  public:
-  // `max_deferrals`: consecutive SRPs a bad-channel client may be skipped
-  // before it is served regardless (in addition to the deadline-slack
-  // guard, which force-serves earlier when data would go late).
-  // `use_measured_goodput`: convenience forward to the base class's
-  // set_measured_goodput (widen slots by measured EWMA goodput when it is
-  // worse than the rung-nominal rate).
-  explicit ChannelAwareOpportunisticScheduler(
-      sim::Duration interval, int max_deferrals = 3, SlotParams sp = {},
-      bool use_measured_goodput = false)
-      : interval_{interval}, max_deferrals_{max_deferrals}, sp_{sp} {
-    set_measured_goodput(use_measured_goodput);
-  }
+  // Consecutive SRPs a bad-channel client may be skipped before it is
+  // served regardless (in addition to the deadline-slack guard, which
+  // force-serves earlier when data would go late).  Bounds the delay a
+  // fade can add to the joint queue/channel policy of arXiv:1807.10128.
+  static constexpr int kMaxDeferrals = 3;
+
+  explicit ChannelAwareOpportunisticScheduler(sim::Duration interval)
+      : interval_{interval} {}
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
   void set_obs(obs::Hook hook) override;
 
  private:
   sim::Duration interval_;
-  int max_deferrals_;
-  SlotParams sp_;
   // Consecutive deferrals per client (ordered map: layout must never
   // follow hash-bucket order).
   std::map<std::uint32_t, int> deferred_;
@@ -77,19 +69,18 @@ class ChannelAwareOpportunisticScheduler final : public Scheduler {
 
 class BufferAwareProbabilisticScheduler final : public Scheduler {
  public:
-  // `threshold_bytes` is q0 in the admission probability q/(q + q0).
+  // q0 in the admission probability q/(q + q0): the buffer threshold of
+  // the buffer-aware probabilistic scheduling of arXiv:1509.02655.
+  static constexpr std::uint64_t kThresholdBytes = 16 * 1024;
+
   BufferAwareProbabilisticScheduler(sim::Duration interval,
-                                    std::uint64_t run_seed,
-                                    std::uint64_t threshold_bytes = 16 * 1024,
-                                    SlotParams sp = {});
+                                    std::uint64_t run_seed);
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
   void set_obs(obs::Hook hook) override;
 
  private:
   sim::Duration interval_;
-  std::uint64_t threshold_bytes_;
-  SlotParams sp_;
   sim::Rng rng_;  // named stream: policy draws only, never sim.rng()
   obs::Counter* ctr_skips_ = nullptr;
   obs::Counter* ctr_forced_ = nullptr;

@@ -3,15 +3,15 @@
 #include <algorithm>
 
 #include "check/check.hpp"
+#include "transport/tcp.hpp"
 
 namespace pp::proxy {
 
-sim::Duration demand_cost(const ClientDemand& d, const BandwidthEstimator& est,
-                          const SlotParams& sp) {
+sim::Duration demand_cost(const ClientDemand& d, const BandwidthEstimator& est) {
   const sim::Duration udp =
       d.udp_packets > 0 ? est.queue_cost(d.udp_packets, d.udp_bytes)
-                        : est.bulk_cost(d.udp_bytes, sp.mtu);
-  return udp + est.bulk_cost(d.tcp_bytes, sp.mtu, sp.tcp_ack_bytes);
+                        : est.bulk_cost(d.udp_bytes, transport::kMss);
+  return udp + est.bulk_cost(d.tcp_bytes, transport::kMss, kTcpAckBytes);
 }
 
 std::vector<ScheduleEntry> lay_out(
@@ -28,14 +28,13 @@ std::vector<ScheduleEntry> lay_out(
 }
 
 sim::Duration Scheduler::widened_cost(const ClientDemand& d,
-                                      const BandwidthEstimator& est,
-                                      const SlotParams& sp) const {
-  sim::Duration cost = demand_cost(d, est, sp) + sp.burst_guard;
+                                      const BandwidthEstimator& est) const {
+  sim::Duration cost = demand_cost(d, est) + kBurstGuard;
   if (measured_goodput_ && d.channel.known && d.channel.goodput_bps > 0) {
     const sim::Duration measured =
         sim::Time::seconds(static_cast<double>(d.total()) * 8.0 /
                            d.channel.goodput_bps) +
-        sp.burst_guard;
+        kBurstGuard;
     if (measured > cost) cost = measured;
   }
   return cost;
@@ -49,7 +48,7 @@ bool slots_conflict(const ScheduleEntry& a, const ScheduleEntry& b) {
 
 BuiltSchedule FixedIntervalScheduler::build(
     const std::vector<ClientDemand>& demands, const BandwidthEstimator& est) {
-  const sim::Duration available = interval_ - sp_.lead;
+  const sim::Duration available = interval_ - kSlotLead;
   std::vector<std::pair<net::Ipv4Addr, sim::Duration>> slots;
   std::vector<std::uint64_t> bytes;
   slots.reserve(demands.size());
@@ -58,7 +57,7 @@ BuiltSchedule FixedIntervalScheduler::build(
   std::uint64_t total_bytes = 0;
   for (const auto& d : demands) {
     if (d.total() == 0) continue;
-    const sim::Duration cost = widened_cost(d, est, sp_);
+    const sim::Duration cost = widened_cost(d, est);
     slots.emplace_back(d.ip, cost);
     bytes.push_back(d.total());
     total += cost;
@@ -74,7 +73,7 @@ BuiltSchedule FixedIntervalScheduler::build(
           share * static_cast<double>(available.count_ns())));
     }
   }
-  return BuiltSchedule{interval_, false, lay_out(slots, sp_.lead)};
+  return BuiltSchedule{interval_, false, lay_out(slots, kSlotLead)};
 }
 
 BuiltSchedule VariableIntervalScheduler::build(
@@ -84,70 +83,69 @@ BuiltSchedule VariableIntervalScheduler::build(
   sim::Duration total = sim::Time::zero();
   for (const auto& d : demands) {
     if (d.total() == 0) continue;
-    const sim::Duration cost = widened_cost(d, est, sp_);
+    const sim::Duration cost = widened_cost(d, est);
     slots.emplace_back(d.ip, cost);
     total += cost;
   }
-  sim::Duration interval = sp_.lead + total;
-  if (interval < min_) interval = min_;
-  if (interval > max_) {
+  sim::Duration interval = kSlotLead + total;
+  if (interval < kMinInterval) interval = kMinInterval;
+  if (interval > kMaxInterval) {
     // Demand exceeds the cap: shrink slots proportionally.
-    const sim::Duration available = max_ - sp_.lead;
+    const sim::Duration available = kMaxInterval - kSlotLead;
     const double scale = available.ratio(total);
     for (auto& [ip, dur] : slots) {
       dur = sim::Time::ns(static_cast<std::int64_t>(
           scale * static_cast<double>(dur.count_ns())));
     }
-    interval = max_;
+    interval = kMaxInterval;
   }
-  return BuiltSchedule{interval, false, lay_out(slots, sp_.lead)};
+  return BuiltSchedule{interval, false, lay_out(slots, kSlotLead)};
 }
 
 BuiltSchedule StaticScheduler::build(const std::vector<ClientDemand>&,
                                      const BandwidthEstimator&) {
   // Permanent equal slots, independent of demand.
   PP_CHECK(!clients_.empty(), "proxy.static_scheduler.clients");
-  const sim::Duration available = interval_ - sp_.lead;
+  const sim::Duration available = interval_ - kSlotLead;
   const sim::Duration each =
       available / static_cast<std::int64_t>(clients_.size());
   std::vector<std::pair<net::Ipv4Addr, sim::Duration>> slots;
   slots.reserve(clients_.size());
   for (const auto& ip : clients_) slots.emplace_back(ip, each);
-  BuiltSchedule out{interval_, /*reuse_next=*/true, lay_out(slots, sp_.lead)};
+  BuiltSchedule out{interval_, /*reuse_next=*/true, lay_out(slots, kSlotLead)};
   return out;
 }
 
 SlottedStaticScheduler::SlottedStaticScheduler(
     sim::Duration interval, double tcp_weight,
     std::vector<net::Ipv4Addr> udp_clients,
-    std::vector<net::Ipv4Addr> tcp_clients, SlotParams sp)
+    std::vector<net::Ipv4Addr> tcp_clients)
     : interval_{interval},
       tcp_weight_{tcp_weight},
       udp_clients_{std::move(udp_clients)},
-      tcp_clients_{std::move(tcp_clients)},
-      sp_{sp} {
+      tcp_clients_{std::move(tcp_clients)} {
   PP_CHECK(tcp_weight_ > 0 && tcp_weight_ < 1,
            "proxy.slotted_scheduler.tcp_weight");
 }
 
 BuiltSchedule SlottedStaticScheduler::build(const std::vector<ClientDemand>&,
                                             const BandwidthEstimator&) {
-  const sim::Duration available = interval_ - sp_.lead;
+  const sim::Duration available = interval_ - kSlotLead;
   const sim::Duration tcp_slot = sim::Time::ns(static_cast<std::int64_t>(
       tcp_weight_ * static_cast<double>(available.count_ns())));
   std::vector<ScheduleEntry> entries;
   // Every client is awake during the TCP slot so that background TCP
   // latency stays bounded (Section 4.3 / Figure 7).
   for (const auto& ip : tcp_clients_)
-    entries.push_back(ScheduleEntry{ip, sp_.lead, tcp_slot, SlotKind::TcpOnly});
+    entries.push_back(ScheduleEntry{ip, kSlotLead, tcp_slot, SlotKind::TcpOnly});
   for (const auto& ip : udp_clients_)
-    entries.push_back(ScheduleEntry{ip, sp_.lead, tcp_slot, SlotKind::TcpOnly});
+    entries.push_back(ScheduleEntry{ip, kSlotLead, tcp_slot, SlotKind::TcpOnly});
   // Then equal UDP slots in the remainder.
   if (!udp_clients_.empty()) {
     const sim::Duration udp_total = available - tcp_slot;
     const sim::Duration each =
         udp_total / static_cast<std::int64_t>(udp_clients_.size());
-    sim::Duration offset = sp_.lead + tcp_slot;
+    sim::Duration offset = kSlotLead + tcp_slot;
     for (const auto& ip : udp_clients_) {
       entries.push_back(ScheduleEntry{ip, offset, each, SlotKind::UdpOnly});
       offset += each;

@@ -7,7 +7,7 @@
 //    each active client gets a slice proportional to its queue depth when
 //    demand exceeds the interval, or exactly its drain cost otherwise.
 //  * VariableIntervalScheduler — interval sized so every client drains its
-//    queue (clamped to [min, max]).
+//    queue (clamped to [kMinInterval, kMaxInterval]).
 //  * StaticScheduler — permanent equal slots for a fixed client set; the
 //    schedule never changes, so it is broadcast with the reuse flag and
 //    clients skip waking for subsequent schedule messages.
@@ -52,15 +52,15 @@ struct BuiltSchedule {
   std::vector<ScheduleEntry> entries;  // sorted by rp_offset
 };
 
-struct SlotParams {
-  // Gap between the SRP and the first burst: covers the schedule frame's
-  // own airtime plus client wake slack.
-  sim::Duration lead = sim::Time::ms(4);
-  // Idle guard appended to each burst to absorb access-point jitter.
-  sim::Duration burst_guard = sim::Time::ms(1);
-  std::uint32_t mtu = 1400;
-  std::uint32_t tcp_ack_bytes = 40;  // uplink ack airtime charged to TCP
-};
+// -- Slot layout, shared by every policy and the burst engine ---------------------
+
+// Gap between the SRP and the first burst: covers the schedule frame's own
+// airtime plus client wake slack.
+inline constexpr sim::Duration kSlotLead = sim::Time::ms(4);
+// Idle guard appended to each burst to absorb access-point jitter.
+inline constexpr sim::Duration kBurstGuard = sim::Time::ms(1);
+// Uplink ack airtime charged to TCP per downlink frame.
+inline constexpr std::uint32_t kTcpAckBytes = 40;
 
 class Scheduler {
  public:
@@ -81,8 +81,7 @@ class Scheduler {
   // goodput when enabled.  Widening only: a lucky EWMA above nominal must
   // not under-size the slot and cause an overrun the guard cannot absorb.
   sim::Duration widened_cost(const ClientDemand& d,
-                             const BandwidthEstimator& est,
-                             const SlotParams& sp) const;
+                             const BandwidthEstimator& est) const;
 
   bool measured_goodput_ = false;
 };
@@ -90,8 +89,7 @@ class Scheduler {
 // -- Shared policy helpers ---------------------------------------------------------
 
 // Channel time to drain one client's queue, TCP acks included.
-sim::Duration demand_cost(const ClientDemand& d, const BandwidthEstimator& est,
-                          const SlotParams& sp);
+sim::Duration demand_cost(const ClientDemand& d, const BandwidthEstimator& est);
 
 // Lay out entries back-to-back starting at `lead`, in the order given.
 std::vector<ScheduleEntry> lay_out(
@@ -107,43 +105,35 @@ bool slots_conflict(const ScheduleEntry& a, const ScheduleEntry& b);
 
 class FixedIntervalScheduler final : public Scheduler {
  public:
-  explicit FixedIntervalScheduler(sim::Duration interval, SlotParams sp = {})
-      : interval_{interval}, sp_{sp} {}
+  explicit FixedIntervalScheduler(sim::Duration interval)
+      : interval_{interval} {}
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
 
  private:
   sim::Duration interval_;
-  SlotParams sp_;
 };
 
 class VariableIntervalScheduler final : public Scheduler {
  public:
-  VariableIntervalScheduler(sim::Duration min_interval = sim::Time::ms(100),
-                            sim::Duration max_interval = sim::Time::ms(500),
-                            SlotParams sp = {})
-      : min_{min_interval}, max_{max_interval}, sp_{sp} {}
+  // The interval stays within [kMinInterval, kMaxInterval].
+  static constexpr sim::Duration kMinInterval = sim::Time::ms(100);
+  static constexpr sim::Duration kMaxInterval = sim::Time::ms(500);
+
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
-
- private:
-  sim::Duration min_;
-  sim::Duration max_;
-  SlotParams sp_;
 };
 
 class StaticScheduler final : public Scheduler {
  public:
-  StaticScheduler(sim::Duration interval, std::vector<net::Ipv4Addr> clients,
-                  SlotParams sp = {})
-      : interval_{interval}, clients_{std::move(clients)}, sp_{sp} {}
+  StaticScheduler(sim::Duration interval, std::vector<net::Ipv4Addr> clients)
+      : interval_{interval}, clients_{std::move(clients)} {}
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
 
  private:
   sim::Duration interval_;
   std::vector<net::Ipv4Addr> clients_;
-  SlotParams sp_;
 };
 
 class SlottedStaticScheduler final : public Scheduler {
@@ -152,8 +142,7 @@ class SlottedStaticScheduler final : public Scheduler {
   // slot, during which every client is awake.
   SlottedStaticScheduler(sim::Duration interval, double tcp_weight,
                          std::vector<net::Ipv4Addr> udp_clients,
-                         std::vector<net::Ipv4Addr> tcp_clients,
-                         SlotParams sp = {});
+                         std::vector<net::Ipv4Addr> tcp_clients);
   BuiltSchedule build(const std::vector<ClientDemand>& demands,
                       const BandwidthEstimator& est) override;
 
@@ -162,7 +151,6 @@ class SlottedStaticScheduler final : public Scheduler {
   double tcp_weight_;
   std::vector<net::Ipv4Addr> udp_clients_;
   std::vector<net::Ipv4Addr> tcp_clients_;
-  SlotParams sp_;
 };
 
 }  // namespace pp::proxy

@@ -19,11 +19,7 @@ TransparentProxy::TransparentProxy(sim::Simulator& sim,
       scheduler_{std::move(scheduler)},
       params_{params},
       wired_sink_{*this, /*wired=*/true},
-      wireless_sink_{*this, /*wired=*/false} {
-  // Non-negotiable transport settings for the splice to work.
-  params_.server_side_tcp.manual_consume = true;
-  params_.client_side_tcp.defer_rtx_when_gated = true;
-}
+      wireless_sink_{*this, /*wired=*/false} {}
 
 TransparentProxy::~TransparentProxy() {
   tick_handle_.cancel();
@@ -196,7 +192,7 @@ void TransparentProxy::on_assoc_packet(const net::Packet& pkt) {
       }
       table_.membership(id) = Membership::Draining;
       table_.drain_timer(id) =
-          sim_.after(params_.drain_deadline, [this, ip = table_.ip(id)] {
+          sim_.after(kDrainDeadline, [this, ip = table_.ip(id)] {
             const ClientId cid = table_.find(ip);
             if (cid != kNoClient &&
                 table_.membership(cid) == Membership::Draining)
@@ -221,7 +217,7 @@ void TransparentProxy::send_assoc(AssocKind kind, net::Ipv4Addr client,
   msg->kind = kind;
   msg->seq = seq;
   net::Packet pkt = net::make_packet();
-  pkt.src = params_.proxy_ip;
+  pkt.src = kProxyIp;
   pkt.src_port = kAssocPort;
   pkt.dst = client;
   pkt.dst_port = kAssocPort;
@@ -405,6 +401,12 @@ Splice& TransparentProxy::create_splice(const net::Packet& syn) {
 
   const transport::Endpoint client_ep{syn.src, syn.src_port};
   const transport::Endpoint server_ep{syn.dst, syn.dst_port};
+  // Non-negotiable transport settings for the splice to work: the client
+  // side holds retransmissions while its burst gate is shut, and the
+  // server side frees receive space only as bytes are bursted onward.
+  transport::TcpOptions client_opts, server_opts;
+  client_opts.defer_rtx_when_gated = true;
+  server_opts.manual_consume = true;
 
   sp->client_side = std::make_unique<transport::TcpConnection>(
       sim_,
@@ -412,11 +414,11 @@ Splice& TransparentProxy::create_splice(const net::Packet& syn) {
         sp->marker.on_egress(p);
         wireless_tx_(std::move(p));
       },
-      /*local=*/server_ep, /*remote=*/client_ep, params_.client_side_tcp,
+      /*local=*/server_ep, /*remote=*/client_ep, client_opts,
       /*passive=*/true);
   sp->server_side = std::make_unique<transport::TcpConnection>(
       sim_, [this](net::Packet p) { wired_tx_(std::move(p)); },
-      /*local=*/client_ep, /*remote=*/server_ep, params_.server_side_tcp,
+      /*local=*/client_ep, /*remote=*/server_ep, server_opts,
       /*passive=*/false);
 
   sp->client_side->set_send_gate(false);  // data flows only in bursts
@@ -542,12 +544,12 @@ void TransparentProxy::schedule_tick() {
     }
     // Deadline slack: how long the oldest buffered datagram can still wait
     // before blowing the delay target.  Full target when nothing is queued.
-    d.deadline_slack = params_.delay_target;
+    d.deadline_slack = kDelayTarget;
     if (!q.empty()) {
       const sim::Duration age = sim_.now() - q.front()->data->pkt.sent_at;
-      d.deadline_slack = age >= params_.delay_target
+      d.deadline_slack = age >= kDelayTarget
                              ? sim::Time::zero()
-                             : params_.delay_target - age;
+                             : kDelayTarget - age;
     }
     if (channel_obs_ != nullptr) {
       // Refresh the flat channel column once per SRP; the demand snapshot
@@ -579,7 +581,7 @@ void TransparentProxy::schedule_tick() {
   last_schedule_ = msg;
 
   net::Packet bc = net::make_packet();
-  bc.src = params_.proxy_ip;
+  bc.src = kProxyIp;
   bc.src_port = kSchedulePort;
   bc.dst = net::Ipv4Addr::broadcast();
   bc.dst_port = kSchedulePort;
@@ -616,7 +618,7 @@ void TransparentProxy::schedule_tick() {
       auto rep = std::make_shared<ScheduleMessage>(*msg);
       rep->repeat_offset = lag;
       net::Packet rbc = net::make_packet();
-      rbc.src = params_.proxy_ip;
+      rbc.src = kProxyIp;
       rbc.src_port = kSchedulePort;
       rbc.dst = net::Ipv4Addr::broadcast();
       rbc.dst_port = kSchedulePort;

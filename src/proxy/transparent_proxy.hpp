@@ -66,13 +66,11 @@ enum class ProxyMode : std::uint8_t {
 };
 
 struct ProxyParams {
-  net::Ipv4Addr proxy_ip = net::Ipv4Addr::octets(10, 0, 0, 254);
   // Per-client datagram buffer.  Section 3.2.2 sizes the whole proxy at
   // ~one second of data for all clients (512 KB at 4 Mb/s); per client
   // that is ~64 KB — and keeping it near one second also keeps the
   // receiver-report feedback loop fast enough for stream adaptation.
   std::uint64_t queue_limit_bytes = 64 * 1024;
-  SlotParams slots{};
   ProxyMode mode = ProxyMode::Splice;
   // Ablation knob: scale the calibrated send-cost model.  Values below 1
   // make the proxy overestimate channel capacity, reproducing the slot
@@ -84,19 +82,6 @@ struct ProxyParams {
   // still anchors on the original SRP.
   int schedule_repeats = 1;
   sim::Duration repeat_spacing = sim::Time::ms(3);
-  // Downlink delay target used to compute per-client deadline slack for the
-  // scheduler (time the oldest queued datagram can still wait).  Policies
-  // that ignore slack (the paper's own schedulers) are unaffected.  Must
-  // exceed 2x the SRP interval for deferral to ever be safe: the oldest
-  // queued packet at an SRP is typically one interval old already, so a
-  // target below 2 intervals makes every client permanently urgent.
-  sim::Duration delay_target = sim::Time::ms(2000);
-  transport::TcpOptions server_side_tcp{};  // manual_consume forced on
-  transport::TcpOptions client_side_tcp{};  // defer_rtx_when_gated forced on
-  // Graceful-leave drain budget: a departing client's queue stays in the
-  // demand set this long; whatever has not been bursted by then is dropped
-  // (with conservation accounting) and the LeaveAck goes out regardless.
-  sim::Duration drain_deadline = sim::Time::ms(1500);
 };
 
 struct ProxyStats {
@@ -126,6 +111,18 @@ struct ProxyStats {
 
 class TransparentProxy {
  public:
+  // Downlink delay target used to compute per-client deadline slack for the
+  // scheduler (time the oldest queued datagram can still wait).  Policies
+  // that ignore slack (the paper's own schedulers) are unaffected.  Must
+  // exceed 2x the SRP interval for deferral to ever be safe: the oldest
+  // queued packet at an SRP is typically one interval old already, so a
+  // target below 2 intervals makes every client permanently urgent.
+  static constexpr sim::Duration kDelayTarget = sim::Time::ms(2000);
+  // Graceful-leave drain budget: a departing client's queue stays in the
+  // demand set this long; whatever has not been bursted by then is dropped
+  // (with conservation accounting) and the LeaveAck goes out regardless.
+  static constexpr sim::Duration kDrainDeadline = sim::Time::ms(1500);
+
   TransparentProxy(sim::Simulator& sim, std::unique_ptr<Scheduler> scheduler,
                    ProxyParams params = {});
   ~TransparentProxy();

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "energy/wnic.hpp"
 #include "proxy/schedule.hpp"
 #include "sim/simulator.hpp"
 
@@ -14,7 +15,8 @@ PostmortemReport PostmortemAnalyzer::analyze(net::Ipv4Addr client,
   rep.client = client;
 
   sim::Simulator replay;
-  energy::EnergyLedger ledger{model_};
+  energy::EnergyLedger ledger;
+  const energy::WnicPowerModel& model = ledger.model();
   energy::EnergyAccountant acc{ledger, sim::Time::zero(),
                                energy::WnicMode::Idle};
   client::PowerDaemon daemon{replay, client, cfg, acc};
@@ -73,8 +75,8 @@ PostmortemReport PostmortemAnalyzer::analyze(net::Ipv4Addr client,
   rep.schedules_missed = st.schedules_missed;
   rep.early_wait = st.early_wait;
   rep.missed_wait = st.missed_wait;
-  const double idle_sleep_delta = model_.mw(energy::WnicMode::Idle) -
-                                  model_.mw(energy::WnicMode::Sleep);
+  const double idle_sleep_delta = model.mw(energy::WnicMode::Idle) -
+                                  model.mw(energy::WnicMode::Sleep);
   rep.early_wait_mj = idle_sleep_delta * st.early_wait.to_seconds();
   rep.missed_wait_mj = idle_sleep_delta * st.missed_wait.to_seconds();
 
@@ -86,7 +88,7 @@ PostmortemReport PostmortemAnalyzer::analyze(net::Ipv4Addr client,
   rep.wake_transitions = acc.wake_transitions();
 
   rep.naive_energy_mj = energy::naive_energy_mj(
-      model_, end - sim::Time::zero(), addressed_airtime, transmit_airtime);
+      model, end - sim::Time::zero(), addressed_airtime, transmit_airtime);
   rep.saved_fraction =
       rep.naive_energy_mj > 0 ? 1.0 - rep.energy_mj / rep.naive_energy_mj : 0;
   const double total_pkts =

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "client/power_daemon.hpp"
-#include "energy/wnic.hpp"
 #include "net/addr.hpp"
 #include "trace/record.hpp"
 
@@ -44,9 +43,9 @@ struct PostmortemReport {
 
 class PostmortemAnalyzer {
  public:
-  PostmortemAnalyzer(const TraceBuffer& trace,
-                     energy::WnicPowerModel model = {})
-      : trace_{trace}, model_{model} {}
+  // The replay prices energy with the default WaveLAN power model, as the
+  // live testbed's ledger does.
+  explicit PostmortemAnalyzer(const TraceBuffer& trace) : trace_{trace} {}
 
   // Replay the trace for `client` under `cfg`.  `horizon` extends the
   // accounting window past the last frame (use the experiment length).
@@ -62,7 +61,6 @@ class PostmortemAnalyzer {
 
  private:
   const TraceBuffer& trace_;
-  energy::WnicPowerModel model_;
 };
 
 }  // namespace pp::trace

@@ -31,10 +31,10 @@ TcpConnection::TcpConnection(sim::Simulator& sim, SendFn send, Endpoint local,
       remote_{remote},
       opts_{opts},
       state_{TcpState::Closed},
-      cwnd_{std::uint64_t{opts.initial_cwnd_segments} * opts.mss},
+      cwnd_{std::uint64_t{kInitialCwndSegments} * kMss},
       ssthresh_{std::uint64_t{1} << 30},
       peer_wnd_{opts.recv_window},
-      rto_{opts.initial_rto} {
+      rto_{kInitialRto} {
   (void)passive;  // passive connections simply wait for the SYN
 }
 
@@ -115,7 +115,7 @@ void TcpConnection::consume(std::uint64_t bytes) {
   const std::uint32_t before = advertised_window();
   unconsumed_ -= bytes;
   // Window update: tell a potentially stalled sender that space opened up.
-  if (before < opts_.mss && advertised_window() >= opts_.mss &&
+  if (before < kMss && advertised_window() >= kMss &&
       state_ != TcpState::Closed && syn_received_) {
     send_ack();
   }
@@ -143,7 +143,7 @@ void TcpConnection::try_send() {
     const std::uint64_t flight = bytes_in_flight();
     if (flight >= wnd) break;
     std::uint64_t len = std::min<std::uint64_t>(
-        {static_cast<std::uint64_t>(opts_.mss), app_limit_ - snd_nxt_data_,
+        {static_cast<std::uint64_t>(kMss), app_limit_ - snd_nxt_data_,
          wnd - flight});
     if (len == 0) break;
     emit(snd_nxt_data_, static_cast<std::uint32_t>(len), false, false, false);
@@ -209,13 +209,13 @@ void TcpConnection::on_rtx_timeout() {
   if (timing_) timing_ = false;  // Karn: retransmitted samples are invalid
   if (!syn_out) {
     const std::uint64_t flight = std::max<std::uint64_t>(
-        bytes_in_flight(), std::uint64_t{opts_.mss});
+        bytes_in_flight(), std::uint64_t{kMss});
     ssthresh_ = std::max<std::uint64_t>(flight / 2,
-                                        std::uint64_t{2} * opts_.mss);
-    cwnd_ = opts_.mss;
+                                        std::uint64_t{2} * kMss);
+    cwnd_ = kMss;
   }
   dup_acks_ = 0;
-  rto_ = std::min(rto_ * 2, opts_.max_rto);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   if (!gate_open_ && opts_.defer_rtx_when_gated) {
     rtx_deferred_ = true;
     return;  // gate reopening retransmits and re-arms
@@ -235,7 +235,7 @@ void TcpConnection::retransmit_one() {
   }
   if (snd_una_data_ < snd_nxt_data_) {
     const std::uint64_t len = std::min<std::uint64_t>(
-        {static_cast<std::uint64_t>(opts_.mss),
+        {static_cast<std::uint64_t>(kMss),
          snd_nxt_data_ - snd_una_data_});
     emit(snd_una_data_, static_cast<std::uint32_t>(len), false, false, true);
     return;
@@ -248,7 +248,7 @@ void TcpConnection::retransmit_one() {
 void TcpConnection::enter_established() {
   if (established()) return;
   state_ = TcpState::Established;
-  rto_ = opts_.initial_rto;
+  rto_ = kInitialRto;
   if (on_established_) on_established_();
   try_send();
 }
@@ -304,7 +304,7 @@ void TcpConnection::process_ack(const net::Packet& pkt) {
         srtt_ = (srtt_ * 7 + sample) / 8;
       }
       sim::Duration rto = srtt_ + std::max(rttvar_ * 4, sim::Time::ms(10));
-      rto_ = std::clamp(rto, opts_.min_rto, opts_.max_rto);
+      rto_ = std::clamp(rto, kMinRto, kMaxRto);
     }
     if (in_recovery_) {
       if (snd_una_data_ >= recover_point_) {
@@ -314,10 +314,10 @@ void TcpConnection::process_ack(const net::Packet& pkt) {
         retransmit_one();  // NewReno partial ack
       }
     } else if (cwnd_ < ssthresh_) {
-      cwnd_ += std::min<std::uint64_t>(newly, opts_.mss);  // slow start
+      cwnd_ += std::min<std::uint64_t>(newly, kMss);  // slow start
     } else {
       cwnd_ += std::max<std::uint64_t>(
-          1, std::uint64_t{opts_.mss} * opts_.mss / cwnd_);  // AIMD
+          1, std::uint64_t{kMss} * kMss / cwnd_);  // AIMD
     }
     if (bytes_in_flight() > 0 || (fin_sent_ && !fin_acked_)) {
       arm_rtx_timer();
@@ -334,8 +334,8 @@ void TcpConnection::process_ack(const net::Packet& pkt) {
       in_recovery_ = true;
       recover_point_ = snd_nxt_data_;
       ssthresh_ = std::max<std::uint64_t>(bytes_in_flight() / 2,
-                                          std::uint64_t{2} * opts_.mss);
-      cwnd_ = ssthresh_ + std::uint64_t{3} * opts_.mss;
+                                          std::uint64_t{2} * kMss);
+      cwnd_ = ssthresh_ + std::uint64_t{3} * kMss;
       ++stats_.fast_retransmits;
       PP_OBS(if (ctr_fast_rtx_) ctr_fast_rtx_->inc());
       retransmit_one();

@@ -38,13 +38,12 @@ struct Endpoint {
   auto operator<=>(const Endpoint&) const = default;
 };
 
+// Payload bytes per full frame: TCP's maximum segment size, and the frame
+// size the proxy's slot cost model and burst allowance assume.
+inline constexpr std::uint32_t kMss = 1400;
+
 struct TcpOptions {
-  std::uint32_t mss = 1400;
   std::uint32_t recv_window = 64 * 1024;
-  std::uint32_t initial_cwnd_segments = 2;
-  sim::Duration min_rto = sim::Time::ms(200);
-  sim::Duration initial_rto = sim::Time::sec(1);
-  sim::Duration max_rto = sim::Time::sec(60);
   // Owner consumes received bytes explicitly via consume(); until then they
   // occupy receive-buffer space and shrink the advertised window.
   bool manual_consume = false;
@@ -79,6 +78,14 @@ struct TcpStats {
 
 class TcpConnection : public net::SegmentHandler {
  public:
+  // Congestion window at connection start, in segments.
+  static constexpr std::uint32_t kInitialCwndSegments = 2;
+  // Retransmission timeout: the first one, and the bounds the RTT
+  // estimate and exponential backoff are clamped to.
+  static constexpr sim::Duration kInitialRto = sim::Time::sec(1);
+  static constexpr sim::Duration kMinRto = sim::Time::ms(200);
+  static constexpr sim::Duration kMaxRto = sim::Time::sec(60);
+
   using SendFn = std::function<void(net::Packet)>;
   using DeliverFn = std::function<void(std::uint64_t bytes)>;
   using EventFn = std::function<void()>;

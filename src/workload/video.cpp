@@ -137,8 +137,8 @@ void VideoServer::on_receiver_report(const net::Packet& pkt) {
   auto it = streams_.find(pkt.src);
   if (it == streams_.end()) return;
   Stream& s = *it->second;
-  if (rr->loss_fraction <= params_.adapt_loss_threshold) return;
-  if (node_.sim().now() - s.last_adapt < params_.adapt_cooldown) return;
+  if (rr->loss_fraction <= kAdaptLossThreshold) return;
+  if (node_.sim().now() - s.last_adapt < kAdaptCooldown) return;
   if (s.fidelity_idx == 0) return;
   // RealServer believes the connection is lossy and adapts the stream to a
   // lower-quality, lower-bandwidth one (Section 4.3).
@@ -168,11 +168,9 @@ const VideoServer::StreamStats* VideoServer::stats_for(
 
 // -- Client ----------------------------------------------------------------------
 
-VideoClient::VideoClient(net::Node& node, net::Ipv4Addr server,
-                         VideoClientParams params)
+VideoClient::VideoClient(net::Node& node, net::Ipv4Addr server)
     : node_{node},
       server_{server},
-      params_{params},
       media_{node, kMediaPort},
       last_report_{node.sim().now()} {
   media_.set_receive_fn([this](const net::Packet& pkt) { on_media(pkt); });
@@ -182,7 +180,7 @@ void VideoClient::play(sim::Time at) {
   node_.sim().at(at, [this] {
     control_ = transport::tcp_connect(node_, server_, kRtspPort);
     control_->set_on_established(
-        [this] { control_->send(params_.play_request_bytes); });
+        [this] { control_->send(kPlayRequestBytes); });
   });
 }
 
@@ -213,7 +211,7 @@ double VideoClient::window_loss_fraction() const {
 
 void VideoClient::maybe_send_report() {
   // Sent while the WNIC is already awake (we just received data).
-  if (node_.sim().now() - last_report_ < params_.rr_interval) return;
+  if (node_.sim().now() - last_report_ < kReportInterval) return;
   last_report_ = node_.sim().now();
   auto rr = std::make_shared<ReceiverReport>();
   rr->loss_fraction = window_loss_fraction();

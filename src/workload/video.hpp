@@ -76,8 +76,6 @@ struct ReceiverReport : net::Message {
 // -- Server ----------------------------------------------------------------------
 
 struct VideoServerParams {
-  double adapt_loss_threshold = 0.05;  // RealServer-style downshift trigger
-  sim::Duration adapt_cooldown = sim::Time::sec(4);
   bool adaptive = true;
   std::uint64_t trace_seed = 99;
   VideoTraceParams trace{};
@@ -85,6 +83,12 @@ struct VideoServerParams {
 
 class VideoServer {
  public:
+  // RealServer-style adaptation: a receiver report above this loss
+  // fraction downshifts the stream one fidelity, at most once per
+  // kAdaptCooldown.
+  static constexpr double kAdaptLossThreshold = 0.05;
+  static constexpr sim::Duration kAdaptCooldown = sim::Time::sec(4);
+
   VideoServer(net::Node& node, VideoServerParams params = {});
 
   // Pre-register a client (out-of-band session description, standing in
@@ -132,19 +136,18 @@ class VideoServer {
 
 // -- Client ----------------------------------------------------------------------
 
-struct VideoClientParams {
-  sim::Duration rr_interval = sim::Time::sec(2);
-  std::uint32_t play_request_bytes = 200;
-};
-
 // The player application on a mobile client's node.  Receiver reports are
 // sent opportunistically while the WNIC is already awake receiving data,
 // so reporting does not wreck the sleep schedule (the paper's clients
 // require similar "minor modifications").
 class VideoClient {
  public:
-  VideoClient(net::Node& node, net::Ipv4Addr server,
-              VideoClientParams params = {});
+  // Minimum spacing between receiver reports.
+  static constexpr sim::Duration kReportInterval = sim::Time::sec(2);
+  // Size of the PLAY request sent on the control connection.
+  static constexpr std::uint32_t kPlayRequestBytes = 200;
+
+  VideoClient(net::Node& node, net::Ipv4Addr server);
 
   // Open the control connection and request the stream.
   void play(sim::Time at);
@@ -169,7 +172,6 @@ class VideoClient {
 
   net::Node& node_;
   net::Ipv4Addr server_;
-  VideoClientParams params_;
   transport::UdpSocket media_;
   std::unique_ptr<transport::TcpConnection> control_;
   sim::Time last_report_;

@@ -74,12 +74,8 @@ void HttpServer::push_response(net::Ipv4Addr client, std::uint32_t bytes) {
 // -- Client ----------------------------------------------------------------------
 
 WebBrowsingClient::WebBrowsingClient(net::Node& node, net::Ipv4Addr server,
-                                     std::vector<PageVisit> script,
-                                     WebClientParams params)
-    : node_{node},
-      server_{server},
-      script_{std::move(script)},
-      params_{params} {}
+                                     std::vector<PageVisit> script)
+    : node_{node}, server_{server}, script_{std::move(script)} {}
 
 void WebBrowsingClient::start(sim::Time at) {
   node_.sim().at(at, [this] { next_page(); });
@@ -103,7 +99,7 @@ void WebBrowsingClient::fetch(std::uint32_t /*expect_hint*/, bool is_main) {
   auto conn = transport::tcp_connect(node_, server_, kHttpPort);
   transport::TcpConnection* raw = conn.get();
   raw->set_on_established(
-      [this, raw] { raw->send(params_.request_bytes); });
+      [this, raw] { raw->send(kRequestBytes); });
   raw->set_on_deliver(
       [this](std::uint64_t n) { stats_.bytes_received += n; });
   raw->set_on_remote_fin([this, raw, is_main] {
@@ -121,7 +117,7 @@ void WebBrowsingClient::object_done() {
   // After the main document, fan out object fetches with bounded
   // parallelism (browsers open a handful of connections).
   while (main_done_ && obj_idx_ < v.objects.size() &&
-         inflight_ < params_.max_parallel) {
+         inflight_ < kMaxParallel) {
     const std::uint32_t bytes = v.objects[obj_idx_++];
     fetch(bytes, /*is_main=*/false);
   }

@@ -70,15 +70,15 @@ class HttpServer {
 
 // -- Client ----------------------------------------------------------------------
 
-struct WebClientParams {
-  std::uint32_t request_bytes = 300;
-  int max_parallel = 4;  // concurrent object connections per page
-};
-
 class WebBrowsingClient {
  public:
+  // Size of each HTTP request.
+  static constexpr std::uint32_t kRequestBytes = 300;
+  // Concurrent object connections per page.
+  static constexpr int kMaxParallel = 4;
+
   WebBrowsingClient(net::Node& node, net::Ipv4Addr server,
-                    std::vector<PageVisit> script, WebClientParams params = {});
+                    std::vector<PageVisit> script);
 
   void start(sim::Time at);
 
@@ -99,7 +99,6 @@ class WebBrowsingClient {
   net::Node& node_;
   net::Ipv4Addr server_;
   std::vector<PageVisit> script_;
-  WebClientParams params_;
   std::size_t page_idx_ = 0;
   std::size_t obj_idx_ = 0;  // next object of the current page
   int inflight_ = 0;

@@ -110,11 +110,8 @@ std::vector<sim::Time> join_send_times(std::uint64_t seed, net::Ipv4Addr ip,
                                        sim::Time horizon) {
   sim::Simulator sim{seed};
   std::vector<sim::Time> times;
-  client::AssocParams ap;
-  ap.enabled = true;
-  ap.run_seed = seed;
   client::AssociationAgent agent{
-      sim, ip, ap, [&](net::Packet) { times.push_back(sim.now()); }, [] {}};
+      sim, ip, seed, [&](net::Packet) { times.push_back(sim.now()); }, [] {}};
   sim.at(Time::ms(10), [&] { agent.join(); });
   sim.run_until(horizon);
   return times;
@@ -141,11 +138,9 @@ TEST(AssocBackoff, DeterministicPerSeedAndDivergentPerClient) {
 
 TEST(AssocBackoff, StatsSeparateFirstSendFromRetries) {
   sim::Simulator sim{7};
-  client::AssocParams ap;
-  ap.enabled = true;
-  ap.run_seed = 7;
   int sends = 0;
-  client::AssociationAgent agent{sim, exp::testbed_client_ip(0), ap,
+  client::AssociationAgent agent{sim, exp::testbed_client_ip(0),
+                                 /*run_seed=*/7,
                                  [&](net::Packet) { ++sends; }, [] {}};
   sim.at(Time::ms(10), [&] { agent.join(); });
   sim.run_until(Time::sec(5));

@@ -253,9 +253,7 @@ TEST(PowerDaemon, ForceAwakeWakesAndResyncs) {
 }
 
 TEST(PowerDaemon, ActivityHoldDefersSleep) {
-  DaemonConfig cfg;
-  cfg.activity_hold = Time::ms(50);
-  Harness h{cfg};
+  Harness h;
   h.schedule_at(Time::ms(500), schedule(Time::ms(500), Time::ms(500), {}));
   h.sim.run_until(Time::ms(600));
   EXPECT_FALSE(h.daemon.awake());
@@ -380,9 +378,6 @@ TEST(PowerDaemon, RepeatCopyAnchorsOnOriginalArrivalTime) {
 TEST(PowerDaemon, EscalationBacksOffAndSleepsThroughDeepOutage) {
   DaemonConfig cfg;
   cfg.escalation.enabled = true;
-  cfg.escalation.awake_misses = 1;
-  cfg.escalation.backoff = 2.0;
-  cfg.escalation.max_grace = Time::ms(240);
   Harness h{cfg};
   h.schedule_at(Time::ms(500), schedule(Time::ms(500), Time::ms(500), {}));
   // Every subsequent schedule is lost until 3000 ms.
@@ -394,7 +389,7 @@ TEST(PowerDaemon, EscalationBacksOffAndSleepsThroughDeepOutage) {
   EXPECT_TRUE(h.daemon.awake());
 
   h.sim.run_until(Time::ms(1700));
-  // Miss #2 at 1560: beyond awake_misses, so the daemon sleeps through to
+  // Miss #2 at 1560: beyond kAwakeMisses, so the daemon sleeps through to
   // just before the next expected SRP (wakes at 1994).
   EXPECT_EQ(h.daemon.stats().schedules_missed, 2u);
   EXPECT_EQ(h.daemon.stats().repeat_misses, 1u);
@@ -437,7 +432,7 @@ TEST(PowerDaemon, CoastBoundForcesReanchorAfterRepeatedBlindCoasts) {
   // A client that keeps missing schedules but catching its burst data
   // re-anchors by estimate alone each interval ("blind coast").  If the
   // anchor is systematically stale, that loop never hears a broadcast and
-  // coasts desynchronized forever; max_blind_coasts (default 2) must cut
+  // coasts desynchronized forever; PowerDaemon::kMaxBlindCoasts (2) must cut
   // the streak and hold the radio awake until a real schedule re-anchors.
   Harness h;
   h.schedule_at(

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <stdexcept>
+#include <vector>
 
 #include "exp/builder.hpp"
 #include "exp/parallel.hpp"
@@ -54,6 +55,40 @@ TEST(Testbed, AddServerAfterStartThrows) {
   Testbed bed{tp, std::make_unique<proxy::FixedIntervalScheduler>(Time::ms(100))};
   bed.start();
   EXPECT_THROW(bed.add_server("late"), std::logic_error);
+}
+
+// Every live client's daemon runs exp::daemon_config of its scenario.
+// Read back from each ScenarioRun client, the mapping pins the jitter
+// guard, the slotted-static slot-end fallback and miss escalation.
+TEST(Scenario, LiveDaemonConfigFollowsScenario) {
+  const auto live_configs = [](const ScenarioConfig& cfg) {
+    ScenarioRun run{cfg};
+    std::vector<client::DaemonConfig> out;
+    for (int i = 0; i < run.bed().num_clients(); ++i)
+      out.push_back(run.bed().client(i).daemon().config());
+    return out;
+  };
+  const auto mixed = [] {
+    return ScenarioBuilder{}.video(2, 0).web(1).duration_s(10.0);
+  };
+  // The guard covers the AP's 0.5 ms jitter plus its 6 ms spike bound.
+  for (const auto& dc : live_configs(mixed().build())) {
+    EXPECT_EQ(dc.comp.jitter_bound, Time::us(6500));
+    EXPECT_FALSE(dc.escalation.enabled);
+  }
+  for (const auto& dc : live_configs(mixed().jitter_guard(false).build()))
+    EXPECT_EQ(dc.comp.jitter_bound, Time::zero());
+  for (const IntervalPolicy p :
+       {IntervalPolicy::Fixed100, IntervalPolicy::Fixed500,
+        IntervalPolicy::Variable, IntervalPolicy::StaticEqual100,
+        IntervalPolicy::SlottedStatic500, IntervalPolicy::LongestQueue500,
+        IntervalPolicy::Opportunistic500, IntervalPolicy::Probabilistic500}) {
+    for (const auto& dc : live_configs(mixed().policy(p).build()))
+      EXPECT_EQ(dc.sleep_at_slot_end, p == IntervalPolicy::SlottedStatic500)
+          << policy_name(p);
+  }
+  for (const auto& dc : live_configs(mixed().miss_escalation().build()))
+    EXPECT_TRUE(dc.escalation.enabled);
 }
 
 TEST(Scenario, RoleNames) {

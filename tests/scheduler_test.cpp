@@ -117,7 +117,7 @@ TEST(VariableIntervalScheduler, CapsAtMaxAndScalesSlots) {
 }
 
 TEST(VariableIntervalScheduler, IntervalBetweenBounds) {
-  VariableIntervalScheduler sched{Time::ms(100), Time::ms(500)};
+  VariableIntervalScheduler sched;
   const auto est = linear_est();
   for (std::uint64_t bytes : {0ull, 1000ull, 50000ull, 200000ull, 900000ull}) {
     const auto b = sched.build({{ip(1), bytes, 0}}, est);
@@ -382,13 +382,12 @@ TEST(ChannelAwareOpportunisticScheduler, DeadlineOverridesDeferral) {
 }
 
 TEST(ChannelAwareOpportunisticScheduler, SkipCapForcesService) {
-  const int max_deferrals = 2;
-  ChannelAwareOpportunisticScheduler sched{Time::ms(500), max_deferrals};
+  ChannelAwareOpportunisticScheduler sched{Time::ms(500)};
   const auto est = linear_est();
   const auto d = std::vector<ClientDemand>{
       bad_channel_demand(ip(1), 20000, Time::seconds(10))};
-  // Ample slack: deferred for max_deferrals SRPs, then served regardless.
-  for (int i = 0; i < max_deferrals; ++i) {
+  // Ample slack: deferred for kMaxDeferrals SRPs, then served regardless.
+  for (int i = 0; i < ChannelAwareOpportunisticScheduler::kMaxDeferrals; ++i) {
     EXPECT_TRUE(sched.build(d, est).entries.empty()) << "SRP " << i;
   }
   const auto b = sched.build(d, est);

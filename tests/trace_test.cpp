@@ -129,17 +129,19 @@ TEST(TraceIo, TextDumpContainsKeyFields) {
 // -- Monitoring + postmortem over a live scenario ---------------------------------
 
 struct ScenarioTraceFixture : ::testing::Test {
+  static const exp::ScenarioConfig& config() {
+    static const exp::ScenarioConfig cfg =
+        exp::ScenarioBuilder{}
+            .video(3, 0)  // three 56K video clients
+            .policy(exp::IntervalPolicy::Fixed500)
+            .seed(11)
+            .duration_s(60.0)
+            .keep_trace()
+            .build();
+    return cfg;
+  }
   static const exp::ScenarioResult& result() {
-    static exp::ScenarioResult res = [] {
-      const auto cfg = exp::ScenarioBuilder{}
-                           .video(3, 0)  // three 56K video clients
-                           .policy(exp::IntervalPolicy::Fixed500)
-                           .seed(11)
-                           .duration_s(60.0)
-                           .keep_trace()
-                           .build();
-      return exp::run_scenario(cfg);
-    }();
+    static const exp::ScenarioResult res = exp::run_scenario(config());
     return res;
   }
 };
@@ -160,7 +162,8 @@ TEST_F(ScenarioTraceFixture, MonitoringStationHeardTraffic) {
 TEST_F(ScenarioTraceFixture, PostmortemAgreesWithLiveClient) {
   const auto& res = result();
   PostmortemAnalyzer analyzer{res.trace};
-  client::DaemonConfig cfg;  // the live clients ran the default config
+  // Replay the policy the live clients ran (its jitter guard included).
+  const client::DaemonConfig cfg = exp::daemon_config(config());
   for (const auto& live : res.clients) {
     const auto rep = analyzer.analyze(live.ip, cfg, res.horizon);
     // Same daemon code, same trace: savings agree closely.  Exact equality
@@ -181,7 +184,7 @@ TEST_F(ScenarioTraceFixture, PostmortemAgreesWithLiveClient) {
 TEST_F(ScenarioTraceFixture, PostmortemNaiveBaselineDominates) {
   const auto& res = result();
   PostmortemAnalyzer analyzer{res.trace};
-  client::DaemonConfig cfg;
+  const client::DaemonConfig cfg = exp::daemon_config(config());
   for (const auto& live : res.clients) {
     const auto rep = analyzer.analyze(live.ip, cfg, res.horizon);
     EXPECT_GT(rep.naive_energy_mj, rep.energy_mj);

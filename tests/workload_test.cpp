@@ -204,9 +204,8 @@ TEST(WebBrowsing, ParallelismBounded) {
   wsp.min_objects = wsp.max_objects = 8;
   const auto script = generate_web_script(2, wsp);
   server.add_script(np.b.ip(), script);
-  WebClientParams cp;
-  cp.max_parallel = 2;
-  WebBrowsingClient client{np.b, np.a.ip(), script, cp};
+  // Eight objects against kMaxParallel (4) concurrent connections.
+  WebBrowsingClient client{np.b, np.a.ip(), script};
   client.start(Time::zero());
   np.sim.run_until(Time::sec(60));
   EXPECT_EQ(client.stats().objects_completed, 9);  // main + 8
